@@ -10,7 +10,6 @@ token sequences and as fixed-slot categorical features.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from .corpus import Corpus
 from .gateway import (AgentRole, BudgetExhaustedError, Gateway,
                       TransportExhaustedError)
 from .protocol import (STOP, ProtocolError, parse_best_rule, parse_path_choice)
+from .runs import atomic_open, read_json, read_jsonl, write_json, write_jsonl
 from .vocab import VocabularyTree
 
 BOS = "<bos>"
@@ -41,6 +41,17 @@ class AssignmentRecord:
     resolver: int | None = None
     terminated: bool = False
     flag: str | None = None
+
+    def to_json(self) -> dict:
+        return {"item_id": self.item_id, "path": list(self.path),
+                "resolver": self.resolver, "terminated": self.terminated,
+                "flag": self.flag}
+
+    @classmethod
+    def from_json(cls, raw: dict) -> "AssignmentRecord":
+        return cls(item_id=raw["item_id"], path=tuple(raw["path"]),
+                   resolver=raw.get("resolver"),
+                   terminated=raw.get("terminated", False), flag=raw.get("flag"))
 
 
 @dataclass
@@ -209,28 +220,18 @@ class SemidTable:
                 if name.startswith("special:")}
 
     def save(self, rows_path: str | Path, map_path: str | Path) -> None:
-        with Path(rows_path).open("w", encoding="utf-8") as fh:
-            for row in self.rows:
-                fh.write(json.dumps({"item_id": row.item_id,
-                                     "tokens": row.tokens,
-                                     "path_names": row.path_names}) + "\n")
-        Path(map_path).write_text(
-            json.dumps({str(k): v for k, v in sorted(self.token_map.items())},
-                       indent=2), encoding="utf-8")
+        write_jsonl(rows_path, ({"item_id": row.item_id, "tokens": row.tokens,
+                                 "path_names": row.path_names}
+                                for row in self.rows))
+        write_json(map_path, {str(k): v for k, v in sorted(self.token_map.items())},
+                   indent=2)
 
     @classmethod
     def load(cls, rows_path: str | Path, map_path: str | Path) -> "SemidTable":
-        token_map = {int(k): v for k, v in json.loads(
-            Path(map_path).read_text(encoding="utf-8")).items()}
-        rows = []
-        with Path(rows_path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    raw = json.loads(line)
-                    rows.append(SemidRow(item_id=raw["item_id"],
-                                         tokens=list(raw["tokens"]),
-                                         path_names=list(raw["path_names"])))
+        token_map = {int(k): v for k, v in read_json(map_path).items()}
+        rows = [SemidRow(item_id=raw["item_id"], tokens=list(raw["tokens"]),
+                         path_names=list(raw["path_names"]))
+                for raw in read_jsonl(rows_path)]
         return cls(rows=rows, token_map=token_map)
 
 
@@ -312,7 +313,7 @@ def export_fixed_slots(records: list[AssignmentRecord], tree: VocabularyTree,
 def write_fixed_slots_csv(rows: list[dict[str, str]], path: str | Path) -> None:
     if not rows:
         raise AssignmentError("no rows to write")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

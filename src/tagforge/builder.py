@@ -9,19 +9,20 @@ anything already committed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .gateway import BudgetExhaustedError, Gateway
+from .gateway import BudgetExhaustedError, Gateway, TransportExhaustedError
 from .refinement import RefinementError, RefinementLog, log_from_json, refine
+from .runs import read_json, write_json
 from .vocab import BuildConfig, DescriptorNode, VocabularyTree
 
 
 class BuildInterrupted(RuntimeError):
-    """Build stopped early (budget exhausted); a checkpoint was persisted."""
+    """Build stopped early (call budget or transport exhausted); a checkpoint
+    was persisted. The exhausting error is the ``__cause__``."""
 
     def __init__(self, message: str, state: "BuildState"):
         super().__init__(message)
@@ -87,30 +88,12 @@ def save_checkpoint(path: str | Path, state: BuildState,
         "report": state.report.to_json(),
         "ledger": ledger.snapshot() if ledger is not None else None,
     }
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    tmp.replace(path)
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str | Path) -> BuildState:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    tree = VocabularyTree.__new__(VocabularyTree)
-    tree.root_id = payload["tree"]["root"]
-    tree.config = payload["tree"].get("config", {})
-    tree.nodes = {}
-    tree.children = {}
-    for rid, raw in payload["tree"]["nodes"].items():
-        tree.nodes[rid] = DescriptorNode(
-            rule_id=rid, name=raw["name"], description=raw["description"],
-            parent=raw["parent"], depth=raw["depth"],
-            items=set(payload["items"].get(rid, [])),
-            status=raw.get("status", "active"))
-        tree.children.setdefault(rid, [])
-    for rid, node in tree.nodes.items():
-        if node.parent is not None:
-            tree.children.setdefault(node.parent, []).append(rid)
-    for rid in tree.children:
-        tree.children[rid].sort()
+    payload = read_json(path)
+    tree = VocabularyTree.from_json(payload["tree"], payload["items"])
     report_raw = payload.get("report", {})
     report = BuildReport(
         nodes_refined=list(report_raw.get("nodes_refined", [])),
@@ -130,8 +113,9 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
     """Run the full hierarchical build; returns the final state.
 
     With a ``checkpoint_path``, state is persisted after every committed
-    node; on :class:`BudgetExhaustedError` the partial state is saved and a
-    :class:`BuildInterrupted` carrying it is raised. Pass a loaded
+    node; on :class:`BudgetExhaustedError` or :class:`TransportExhaustedError`
+    the partial state is saved and a :class:`BuildInterrupted` carrying it
+    is raised. Pass a loaded
     checkpoint as ``resume_state`` to continue a prior run: completed nodes
     are skipped without issuing any calls.
     """
@@ -155,7 +139,7 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
             try:
                 result = refine([corpus.get(i) for i in sorted(parent.items)],
                                 parent, tree, config, gateway, provider)
-            except BudgetExhaustedError as exc:
+            except (BudgetExhaustedError, TransportExhaustedError) as exc:
                 state.report.interrupted = True
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, state, gateway.ledger)

@@ -3,8 +3,10 @@
 Subcommands run one stage each against a run directory: ingest,
 build-vocab, assign, encode, fit, recommend, evaluate, critique-eval,
 baseline-freeform, report, resume. Config comes from a JSON file
-(``--config``) with flag overrides; stages are idempotent via the run
-manifest, and a lock file keeps writers exclusive.
+(``--config``) with flag overrides. Every subcommand is an entry of
+``STAGES`` run by :func:`run_stage`, which skips it when the run manifest
+says its inputs are unchanged and owns the ledger save and the exit codes;
+a lock file keeps writers exclusive.
 """
 
 from __future__ import annotations
@@ -12,24 +14,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 from . import assignment as asg
 from . import decoding as dec
 from . import evalkit, freeform
-from .builder import (BuildInterrupted, build_vocabulary, load_checkpoint)
+from .builder import BuildInterrupted, build_vocabulary, load_checkpoint
 from .clustering import HashingProvider
 from .corpus import (IngestReport, last_out_split, load_corpus,
                      load_interactions, read_splits, write_corpus,
                      write_interactions, write_splits)
-from .gateway import (AgentRole, CallLedger, DecodeParams, Gateway,
-                      HttpBackend)
+from .gateway import (AgentRole, BudgetExhaustedError, CallLedger,
+                      DecodeParams, Gateway, HttpBackend,
+                      TransportExhaustedError)
 from .mockllm import MockLLMBackend
 from .planted import load_taxonomy
 from .refinement import log_from_json
 from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
-                   stage_is_current)
+                   read_json, read_jsonl, stage_is_current, write_json,
+                   write_jsonl)
 from .vocab import BuildConfig, VocabularyError, VocabularyTree
 
 
@@ -83,7 +88,7 @@ class RunConfig:
         if path is None:
             return cls()
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = read_json(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError("config", f"cannot read config {path}: {exc}", 2)
         known = {f.name for f in fields(cls)}
@@ -112,7 +117,7 @@ class RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for name in ("backend", "seed", "parallelism"):
+    for name in ("backend", "seed", "parallelism", "simulator"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -164,11 +169,86 @@ def _provider(cfg: RunConfig) -> HashingProvider:
     return HashingProvider(dim=cfg.embed_dim)
 
 
-def _run_corpus(cfg: RunConfig, paths: RunPaths):
-    source = paths.corpus if paths.corpus.exists() else cfg.corpus_path
-    if source is None:
+class StageRun:
+    """What a stage body sees: config, run paths, flags, and a gateway made
+    on first use."""
+
+    def __init__(self, cfg: RunConfig, paths: RunPaths, args: argparse.Namespace):
+        self.cfg, self.paths, self.args = cfg, paths, args
+        self.made_gateway: Gateway | None = None
+
+    @property
+    def gateway(self) -> Gateway:
+        if self.made_gateway is None:
+            self.made_gateway = make_gateway(self.cfg, self.paths)
+        return self.made_gateway
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One subcommand: the parts hashed into its digest, the files it
+    writes, and its body, which returns the line printed on success."""
+
+    name: str
+    inputs: Callable[[StageRun], tuple]
+    outputs: Callable[[StageRun], list[Path]]
+    body: Callable[[StageRun], str]
+
+
+STAGES: dict[str, Stage] = {}
+
+
+def _stage(name: str, inputs, outputs):
+    def register(body):
+        STAGES[name] = Stage(name, inputs, outputs, body)
+        return body
+    return register
+
+
+def run_stage(stage: Stage, run: StageRun) -> int:
+    """digest -> skip if current -> body -> save ledger -> mark.
+
+    The one failure path of every stage: the ledger is saved whether the
+    body finishes or stops, and an exhausted call budget or transport ends
+    in exit 3 with the stage left unmarked, so that a re-run (``resume``
+    for build-vocab) continues it.
+    """
+    digest = inputs_hash(*stage.inputs(run))
+    outputs = stage.outputs(run)
+    if not run.args.force and stage_is_current(run.paths, stage.name, digest,
+                                               outputs):
+        print(f"{stage.name}: up to date, skipping")
+        return 0
+    try:
+        summary = stage.body(run)
+    except (BuildInterrupted, BudgetExhaustedError,
+            TransportExhaustedError) as exc:
+        cause = exc.__cause__ if isinstance(exc, BuildInterrupted) else exc
+        kind = ("transport" if isinstance(cause, TransportExhaustedError)
+                else "budget")
+        hint = ("checkpoint saved, run resume" if isinstance(exc, BuildInterrupted)
+                else "re-run the stage")
+        raise CliError(f"{kind}-exhausted",
+                       f"{stage.name} stopped ({hint}): {exc}", 3) from exc
+    finally:
+        if run.made_gateway is not None:
+            run.made_gateway.ledger.save_jsonl(run.paths.ledger)
+    mark_stage(run.paths, stage.name, digest, outputs)
+    print(summary)
+    return 0
+
+
+def _corpus_source(run: StageRun) -> Path:
+    if run.paths.corpus.exists():
+        return run.paths.corpus
+    if run.cfg.corpus_path is None:
         raise CliError("io", "no corpus available; run ingest or set corpus_path")
-    return load_corpus(source)
+    return Path(run.cfg.corpus_path)
+
+
+def _backend_parts(cfg: RunConfig) -> tuple:
+    return (cfg.backend, cfg.mock_world_path or "",
+            sorted(cfg.mock_hidden_categories), cfg.mock_false_negative_rate)
 
 
 def _load_tree(paths: RunPaths) -> VocabularyTree:
@@ -178,52 +258,34 @@ def _load_tree(paths: RunPaths) -> VocabularyTree:
     return VocabularyTree.load(paths.vocab, items)
 
 
-def _load_records(paths: RunPaths) -> list[asg.AssignmentRecord]:
-    if not paths.assignments.exists():
-        raise CliError("stage", "assignments.jsonl missing; run assign first")
-    records = []
-    with paths.assignments.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                raw = json.loads(line)
-                records.append(asg.AssignmentRecord(
-                    item_id=raw["item_id"], path=tuple(raw["path"]),
-                    resolver=raw.get("resolver"),
-                    terminated=raw.get("terminated", False),
-                    flag=raw.get("flag")))
-    return records
+def _decode_inputs(paths: RunPaths) -> tuple:
+    return paths.splits, paths.semids, paths.token_map, paths.model
 
 
-def _load_logs(paths: RunPaths):
-    logs = []
-    if paths.refinement_logs.exists():
-        with paths.refinement_logs.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    logs.append(log_from_json(json.loads(line)))
-    return logs
+def _decode_setup(paths: RunPaths):
+    split = read_splits(paths.splits)
+    table = asg.SemidTable.load(paths.semids, paths.token_map)
+    model = dec.SurrogateModel.load(paths.model)
+    return split, table, model, dec.build_trie(table)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True),
-                    encoding="utf-8")
-
-
-# -- subcommands ------------------------------------------------------------
-
-
-def cmd_ingest(cfg: RunConfig, paths: RunPaths, args) -> int:
+def _ingest_inputs(run: StageRun) -> tuple:
+    cfg = run.cfg
     if cfg.corpus_path is None:
         raise CliError("config", "ingest requires corpus_path", 2)
-    digest = inputs_hash(Path(cfg.corpus_path),
-                         Path(cfg.interactions_path) if cfg.interactions_path else "",
-                         cfg.strict_ingest)
-    outputs = [paths.corpus, paths.splits]
-    if stage_is_current(paths, "ingest", digest, outputs) and not args.force:
-        print("ingest: up to date, skipping")
-        return 0
+    return (Path(cfg.corpus_path),
+            Path(cfg.interactions_path) if cfg.interactions_path else "",
+            cfg.strict_ingest)
+
+
+# -- stages -------------------------------------------------------------------
+
+
+@_stage("ingest", _ingest_inputs,
+        lambda run: [run.paths.corpus, run.paths.splits,
+                     run.paths.reports / "ingest.json"])
+def _ingest(run: StageRun) -> str:
+    cfg, paths = run.cfg, run.paths
     report = IngestReport()
     corpus = load_corpus(cfg.corpus_path, lenient=not cfg.strict_ingest,
                          report=report)
@@ -240,179 +302,151 @@ def cmd_ingest(cfg: RunConfig, paths: RunPaths, args) -> int:
                         "excluded_users": report.excluded_users,
                         "unknown_items": report.unknown_items})
     else:
-        paths.splits.write_text("", encoding="utf-8")
-    _write_json(paths.reports / "ingest.json", summary)
-    mark_stage(paths, "ingest", digest, outputs)
-    print(f"ingest: {summary}")
-    return 0
+        write_jsonl(paths.splits, ())
+    write_json(paths.reports / "ingest.json", summary, indent=2, sort_keys=True)
+    return f"ingest: {summary}"
 
 
-def cmd_build_vocab(cfg: RunConfig, paths: RunPaths, args) -> int:
-    corpus = _run_corpus(cfg, paths)
-    build_cfg = cfg.build_config(args)
-    digest = inputs_hash(paths.corpus if paths.corpus.exists()
-                         else Path(cfg.corpus_path), build_cfg.to_json(),
-                         cfg.backend, cfg.mock_world_path or "",
-                         sorted(cfg.mock_hidden_categories),
-                         cfg.mock_false_negative_rate)
-    outputs = [paths.vocab, paths.vocab_items, paths.build_report]
-    resume = args.command == "resume" or getattr(args, "resume", False)
-    if stage_is_current(paths, "build-vocab", digest, outputs) and not args.force:
-        print("build-vocab: up to date, skipping")
-        return 0
-    gateway = make_gateway(cfg, paths)
+@_stage("build-vocab",
+        lambda run: (_corpus_source(run), run.cfg.build_config(run.args).to_json(),
+                     *_backend_parts(run.cfg)),
+        lambda run: [run.paths.vocab, run.paths.vocab_items,
+                     run.paths.refinement_logs, run.paths.build_report])
+def _build_vocab(run: StageRun) -> str:
+    cfg, paths, args = run.cfg, run.paths, run.args
+    corpus = load_corpus(_corpus_source(run))
     resume_state = None
-    if resume and paths.checkpoint.exists():
+    if (args.command == "resume" or args.resume) and paths.checkpoint.exists():
         resume_state = load_checkpoint(paths.checkpoint)
         if not paths.ledger.exists() and resume_state.ledger_snapshot:
             # Hard kill before the ledger file landed: the checkpoint
             # carries the counters.
-            gateway.ledger.load_snapshot(resume_state.ledger_snapshot)
+            run.gateway.ledger.load_snapshot(resume_state.ledger_snapshot)
         print(f"resuming: {len(resume_state.completed)} nodes already done")
-    try:
-        state = build_vocabulary(corpus, build_cfg, gateway, _provider(cfg),
-                                 checkpoint_path=paths.checkpoint,
-                                 resume_state=resume_state)
-    except BuildInterrupted as exc:
-        gateway.ledger.save_jsonl(paths.ledger)
-        raise CliError("budget-exhausted",
-                       f"build interrupted, checkpoint saved: {exc}", 3)
+    state = build_vocabulary(corpus, cfg.build_config(args), run.gateway,
+                             _provider(cfg), checkpoint_path=paths.checkpoint,
+                             resume_state=resume_state)
     state.tree.save(paths.vocab, paths.vocab_items)
-    with paths.refinement_logs.open("w", encoding="utf-8") as fh:
-        for log in state.logs:
-            fh.write(json.dumps(log.to_json(), sort_keys=True) + "\n")
+    write_jsonl(paths.refinement_logs, (log.to_json() for log in state.logs),
+                sort_keys=True)
     report = state.report.to_json()
     report["n_semid"] = f"{state.tree.max_depth()}+1"
     report["n_descriptors"] = len(state.tree.descriptor_nodes())
-    _write_json(paths.build_report, report)
-    gateway.ledger.save_jsonl(paths.ledger)
-    mark_stage(paths, "build-vocab", digest, outputs)
-    print(f"build-vocab: {report['n_descriptors']} descriptors over "
-          f"{state.tree.max_depth()} levels")
-    return 0
+    write_json(paths.build_report, report, indent=2, sort_keys=True)
+    return (f"build-vocab: {report['n_descriptors']} descriptors over "
+            f"{state.tree.max_depth()} levels")
 
 
-def cmd_assign(cfg: RunConfig, paths: RunPaths, args) -> int:
-    corpus = _run_corpus(cfg, paths)
-    tree = _load_tree(paths)
-    digest = inputs_hash(paths.vocab, paths.corpus, cfg.assign_mode,
-                         cfg.backend, cfg.seed)
-    outputs = [paths.assignments]
-    if stage_is_current(paths, "assign", digest, outputs) and not args.force:
-        print("assign: up to date, skipping")
-        return 0
-    gateway = make_gateway(cfg, paths)
-    records = asg.assign_paths(corpus, tree, gateway,
-                               parallelism=cfg.parallelism, mode=cfg.assign_mode)
+@_stage("assign",
+        lambda run: (run.paths.vocab, _corpus_source(run), run.cfg.assign_mode,
+                     *_backend_parts(run.cfg), run.cfg.seed),
+        lambda run: [run.paths.assignments])
+def _assign(run: StageRun) -> str:
+    corpus = load_corpus(_corpus_source(run))
+    records = asg.assign_paths(corpus, _load_tree(run.paths), run.gateway,
+                               parallelism=run.cfg.parallelism,
+                               mode=run.cfg.assign_mode)
     records = asg.resolve_collisions(records)
-    with paths.assignments.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({"item_id": rec.item_id,
-                                 "path": list(rec.path),
-                                 "resolver": rec.resolver,
-                                 "terminated": rec.terminated,
-                                 "flag": rec.flag}) + "\n")
-    gateway.ledger.save_jsonl(paths.ledger)
+    write_jsonl(run.paths.assignments, (rec.to_json() for rec in records))
     flagged = sum(1 for r in records if r.flag)
-    mark_stage(paths, "assign", digest, outputs)
-    print(f"assign: {len(records)} items, {flagged} flagged")
-    return 0
+    return f"assign: {len(records)} items, {flagged} flagged"
 
 
-def cmd_encode(cfg: RunConfig, paths: RunPaths, args) -> int:
+@_stage("encode",
+        lambda run: (run.paths.assignments, run.paths.vocab, run.cfg.n_slots or 0),
+        lambda run: [run.paths.semids, run.paths.token_map, run.paths.fixed_slots,
+                     run.paths.reports / "vocab_stats.json"])
+def _encode(run: StageRun) -> str:
+    paths = run.paths
     tree = _load_tree(paths)
-    records = _load_records(paths)
-    digest = inputs_hash(paths.assignments, paths.vocab, cfg.n_slots or 0)
-    outputs = [paths.semids, paths.token_map, paths.fixed_slots]
-    if stage_is_current(paths, "encode", digest, outputs) and not args.force:
-        print("encode: up to date, skipping")
-        return 0
+    if not paths.assignments.exists():
+        raise CliError("stage", "assignments.jsonl missing; run assign first")
+    records = [asg.AssignmentRecord.from_json(raw)
+               for raw in read_jsonl(paths.assignments)]
     table = asg.export_semids(records, tree)
     table.save(paths.semids, paths.token_map)
-    n_slots = cfg.n_slots or max(tree.max_depth(),
-                                 max((len(r.path) for r in records), default=1))
+    n_slots = run.cfg.n_slots or max(tree.max_depth(),
+                                     max((len(r.path) for r in records), default=1))
     rows = asg.export_fixed_slots(records, tree, n_slots)
     asg.write_fixed_slots_csv(rows, paths.fixed_slots)
     stats = asg.vocab_stats(records, tree)
-    _write_json(paths.reports / "vocab_stats.json", stats.to_json())
-    mark_stage(paths, "encode", digest, outputs)
-    print(f"encode: vocab {stats.vocab_size_label}, "
-          f"utilization {stats.utilization:.3f}")
-    return 0
+    write_json(paths.reports / "vocab_stats.json", stats.to_json(), indent=2,
+               sort_keys=True)
+    return (f"encode: vocab {stats.vocab_size_label}, "
+            f"utilization {stats.utilization:.3f}")
 
 
-def cmd_fit(cfg: RunConfig, paths: RunPaths, args) -> int:
+@_stage("fit",
+        lambda run: (run.paths.splits, run.paths.semids, run.cfg.surrogate_order,
+                     run.cfg.surrogate_alpha),
+        lambda run: [run.paths.model])
+def _fit(run: StageRun) -> str:
+    cfg, paths = run.cfg, run.paths
     if not paths.splits.exists():
         raise CliError("stage", "splits.jsonl missing; run ingest first")
     split = read_splits(paths.splits)
     table = asg.SemidTable.load(paths.semids, paths.token_map)
-    digest = inputs_hash(paths.splits, paths.semids, cfg.surrogate_order,
-                         cfg.surrogate_alpha)
-    outputs = [paths.model]
-    if stage_is_current(paths, "fit", digest, outputs) and not args.force:
-        print("fit: up to date, skipping")
-        return 0
     model = dec.fit_surrogate(split, table, order=cfg.surrogate_order,
                               alpha=cfg.surrogate_alpha)
     model.save(paths.model)
-    mark_stage(paths, "fit", digest, outputs)
-    print(f"fit: order-{model.order} model over {model.vocab_size} tokens")
-    return 0
+    return f"fit: order-{model.order} model over {model.vocab_size} tokens"
 
 
-def _decode_setup(cfg: RunConfig, paths: RunPaths):
-    split = read_splits(paths.splits)
-    table = asg.SemidTable.load(paths.semids, paths.token_map)
-    model = dec.SurrogateModel.load(paths.model)
-    trie = dec.build_trie(table)
-    return split, table, model, trie
-
-
-def cmd_recommend(cfg: RunConfig, paths: RunPaths, args) -> int:
-    split, table, model, trie = _decode_setup(cfg, paths)
+@_stage("recommend",
+        lambda run: (*_decode_inputs(run.paths), run.cfg.beam_width),
+        lambda run: [run.paths.reports / "recommendations.jsonl"])
+def _recommend(run: StageRun) -> str:
+    split, table, model, trie = _decode_setup(run.paths)
     known = {row.item_id for row in table.rows}
-    out_path = paths.reports / "recommendations.jsonl"
-    with out_path.open("w", encoding="utf-8") as fh:
+
+    def rows():
         for user_id in sorted(split.train):
             history = [i for i in split.train[user_id] if i in known]
-            if not history:
-                continue
-            context = dec.encode_history(table, history, model.order)
-            ranked = dec.beam_decode(model, context, trie, cfg.beam_width)
-            fh.write(json.dumps({"user_id": user_id,
-                                 "items": [{"item_id": i, "score": s}
-                                           for i, s in ranked]}) + "\n")
-    print(f"recommend: wrote {out_path}")
-    return 0
+            if history:
+                context = dec.encode_history(table, history, model.order)
+                ranked = dec.beam_decode(model, context, trie, run.cfg.beam_width)
+                yield {"user_id": user_id,
+                       "items": [{"item_id": i, "score": s} for i, s in ranked]}
+
+    out_path = run.paths.reports / "recommendations.jsonl"
+    write_jsonl(out_path, rows())
+    return f"recommend: wrote {out_path}"
 
 
-def cmd_evaluate(cfg: RunConfig, paths: RunPaths, args) -> int:
-    split, table, model, trie = _decode_setup(cfg, paths)
+@_stage("evaluate",
+        lambda run: (*_decode_inputs(run.paths), run.cfg.eval_mode, run.cfg.eval_ks,
+                     run.cfg.seed, run.cfg.n_negatives, run.cfg.beam_width),
+        lambda run: [run.paths.reports / f"eval_{run.cfg.eval_mode}.json"])
+def _evaluate(run: StageRun) -> str:
+    cfg = run.cfg
+    split, table, model, trie = _decode_setup(run.paths)
     report = evalkit.evaluate_run(
         model, trie, split, table, mode=cfg.eval_mode,
         ks=tuple(cfg.eval_ks), seed=cfg.seed, n_negatives=cfg.n_negatives,
         beam_width=cfg.beam_width)
-    out_path = paths.reports / f"eval_{cfg.eval_mode}.json"
-    _write_json(out_path, report.to_json())
-    print(f"evaluate[{cfg.eval_mode}]: "
-          + ", ".join(f"N@{k}={v:.4f}" for k, v in sorted(report.ndcg.items())))
-    return 0
+    write_json(run.paths.reports / f"eval_{cfg.eval_mode}.json",
+               report.to_json(), indent=2, sort_keys=True)
+    return (f"evaluate[{cfg.eval_mode}]: "
+            + ", ".join(f"N@{k}={v:.4f}" for k, v in sorted(report.ndcg.items())))
 
 
-def cmd_critique_eval(cfg: RunConfig, paths: RunPaths, args) -> int:
-    split, table, model, trie = _decode_setup(cfg, paths)
+@_stage("critique-eval",
+        lambda run: (*_decode_inputs(run.paths), run.paths.vocab,
+                     _corpus_source(run), run.cfg.simulator,
+                     _backend_parts(run.cfg) if run.cfg.simulator == "llm" else (),
+                     run.cfg.eval_ks, run.cfg.seed, run.cfg.beam_width),
+        lambda run: [run.paths.reports / "critique_eval.json"])
+def _critique_eval(run: StageRun) -> str:
+    cfg, paths = run.cfg, run.paths
+    split, table, model, trie = _decode_setup(paths)
     tree = _load_tree(paths)
-    corpus = _run_corpus(cfg, paths)
-    simulator = getattr(args, "simulator", None) or cfg.simulator
-    gateway = make_gateway(cfg, paths) if simulator == "llm" else None
+    corpus = load_corpus(_corpus_source(run))
+    gateway = run.gateway if cfg.simulator == "llm" else None
     known = {row.item_id for row in table.rows}
-    allowed_by_user: dict[str, set[int]] = {}
-    for user_id in sorted(split.test):
-        target = split.test[user_id]
-        if target not in known:
-            continue
-        allowed_by_user[user_id] = dec.simulate_user(
-            target, corpus, table, tree, mode=simulator, gateway=gateway)
+    allowed_by_user = {
+        user_id: dec.simulate_user(target, corpus, table, tree,
+                                   mode=cfg.simulator, gateway=gateway)
+        for user_id, target in sorted(split.test.items()) if target in known}
     vanilla = evalkit.evaluate_run(model, trie, split, table, mode="full",
                                    ks=tuple(cfg.eval_ks), seed=cfg.seed,
                                    beam_width=cfg.beam_width)
@@ -420,21 +454,26 @@ def cmd_critique_eval(cfg: RunConfig, paths: RunPaths, args) -> int:
                                        ks=tuple(cfg.eval_ks), seed=cfg.seed,
                                        beam_width=cfg.beam_width,
                                        allowed_level1_by_user=allowed_by_user)
-    payload = {"simulator": simulator, "vanilla": vanilla.to_json(),
+    payload = {"simulator": cfg.simulator, "vanilla": vanilla.to_json(),
                "constrained": constrained.to_json()}
-    _write_json(paths.reports / "critique_eval.json", payload)
-    if gateway is not None:
-        gateway.ledger.save_jsonl(paths.ledger)
-    print("critique-eval: "
-          + ", ".join(f"N@{k} {vanilla.ndcg[k]:.4f}->{constrained.ndcg[k]:.4f}"
-                      for k in sorted(vanilla.ndcg)))
-    return 0
+    write_json(paths.reports / "critique_eval.json", payload, indent=2,
+               sort_keys=True)
+    return ("critique-eval: "
+            + ", ".join(f"N@{k} {vanilla.ndcg[k]:.4f}->{constrained.ndcg[k]:.4f}"
+                        for k in sorted(vanilla.ndcg)))
 
 
-def cmd_baseline_freeform(cfg: RunConfig, paths: RunPaths, args) -> int:
-    corpus = _run_corpus(cfg, paths)
-    gateway = make_gateway(cfg, paths)
-    table = freeform.generate_freeform(corpus, gateway,
+@_stage("baseline-freeform",
+        lambda run: (_corpus_source(run), *_backend_parts(run.cfg), run.cfg.seed,
+                     run.cfg.freeform_n_tags, run.cfg.freeform_min_f,
+                     run.cfg.freeform_max_f, run.cfg.freeform_bins,
+                     run.cfg.freeform_kmeans_k, run.cfg.embed_dim),
+        lambda run: [run.paths.root / "freeform_tags.jsonl",
+                     run.paths.reports / "freeform.json"])
+def _baseline_freeform(run: StageRun) -> str:
+    cfg, paths = run.cfg, run.paths
+    corpus = load_corpus(_corpus_source(run))
+    table = freeform.generate_freeform(corpus, run.gateway,
                                        n_tags_per_item=cfg.freeform_n_tags,
                                        parallelism=cfg.parallelism)
     table.save(paths.root / "freeform_tags.jsonl")
@@ -447,9 +486,7 @@ def cmd_baseline_freeform(cfg: RunConfig, paths: RunPaths, args) -> int:
             table, min_f=cfg.freeform_min_f, max_f=cfg.freeform_max_f,
             n_bins=cfg.freeform_bins)
         rows = freeform.pruned_to_semid_rows(pruned)
-        with (paths.root / "freeform_freqbin.jsonl").open("w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+        write_jsonl(paths.root / "freeform_freqbin.jsonl", rows)
         summary["freqbin_items"] = len(rows)
     except freeform.FreeformError as exc:
         summary["freqbin_error"] = str(exc)
@@ -459,53 +496,44 @@ def cmd_baseline_freeform(cfg: RunConfig, paths: RunPaths, args) -> int:
                                                  k=cfg.freeform_kmeans_k,
                                                  seed=cfg.seed)
             rows = freeform.pruned_to_semid_rows(pruned_km)
-            with (paths.root / "freeform_kmeans.jsonl").open("w") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row) + "\n")
+            write_jsonl(paths.root / "freeform_kmeans.jsonl", rows)
             summary["kmeans_items"] = len(rows)
         except freeform.FreeformError as exc:
             summary["kmeans_error"] = str(exc)
-    gateway.ledger.save_jsonl(paths.ledger)
-    _write_json(paths.reports / "freeform.json", summary)
-    print(f"baseline-freeform: {summary['n_distinct_tags']} tags, "
-          f"utilization {summary['utilization']:.3f}")
-    return 0
+    write_json(paths.reports / "freeform.json", summary, indent=2,
+               sort_keys=True)
+    return (f"baseline-freeform: {summary['n_distinct_tags']} tags, "
+            f"utilization {summary['utilization']:.3f}")
 
 
-def cmd_report(cfg: RunConfig, paths: RunPaths, args) -> int:
+@_stage("report",
+        lambda run: (run.paths.build_report, run.paths.refinement_logs,
+                     run.paths.reports / "vocab_stats.json", run.paths.ledger),
+        lambda run: [run.paths.reports / "summary.json"])
+def _report(run: StageRun) -> str:
+    paths = run.paths
     summary: dict = {}
     if paths.build_report.exists():
-        summary["build"] = json.loads(paths.build_report.read_text())
-    logs = _load_logs(paths)
+        summary["build"] = read_json(paths.build_report)
+    logs = ([log_from_json(row) for row in read_jsonl(paths.refinement_logs)]
+            if paths.refinement_logs.exists() else [])
     if logs:
         rows = evalkit.coverage_deltas(logs)
         evalkit.write_coverage_csv(rows, paths.reports / "coverage_deltas.csv")
         summary["coverage_cycles"] = len(rows)
     stats_path = paths.reports / "vocab_stats.json"
     if stats_path.exists():
-        summary["vocab_stats"] = json.loads(stats_path.read_text())
+        summary["vocab_stats"] = read_json(stats_path)
     if paths.ledger.exists():
         ledger = CallLedger()
         ledger.load_jsonl(paths.ledger)
         summary["ledger"] = ledger.snapshot()
-    _write_json(paths.reports / "summary.json", summary)
-    print(f"report: wrote {paths.reports / 'summary.json'}")
-    return 0
+    write_json(paths.reports / "summary.json", summary, indent=2, sort_keys=True)
+    return f"report: wrote {paths.reports / 'summary.json'}"
 
 
-COMMANDS = {
-    "ingest": cmd_ingest,
-    "build-vocab": cmd_build_vocab,
-    "assign": cmd_assign,
-    "encode": cmd_encode,
-    "fit": cmd_fit,
-    "recommend": cmd_recommend,
-    "evaluate": cmd_evaluate,
-    "critique-eval": cmd_critique_eval,
-    "baseline-freeform": cmd_baseline_freeform,
-    "report": cmd_report,
-    "resume": cmd_build_vocab,
-}
+# ``resume`` is build-vocab continuing from its checkpoint.
+STAGES["resume"] = STAGES["build-vocab"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tagforge",
         description="Descriptor-vocabulary mining and semantic-ID pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--run-dir", default=None)
@@ -537,11 +565,10 @@ def dispatch(argv: list[str]) -> int:
         cfg = _apply_overrides(RunConfig.load(args.config), args)
         paths = RunPaths(Path(cfg.run_dir))
         paths.ensure()
-        if not paths.config.exists() or args.force or args.config is not None:
-            _write_json(paths.config, {f.name: getattr(cfg, f.name)
-                                       for f in fields(RunConfig)})
         with RunLock(paths):
-            return COMMANDS[args.command](cfg, paths, args)
+            if not paths.config.exists() or args.force or args.config is not None:
+                write_json(paths.config, asdict(cfg), indent=2, sort_keys=True)
+            return run_stage(STAGES[args.command], StageRun(cfg, paths, args))
     except CliError as exc:
         print(f"ERR:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

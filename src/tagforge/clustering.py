@@ -9,10 +9,8 @@ distances; K-Means is k-means++ seeded Lloyd iteration.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,40 +43,6 @@ class HashingProvider:
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
         return out
-
-
-class CachedProvider:
-    """Wraps a provider with a JSONL {text_hash, vector} cache file."""
-
-    def __init__(self, inner, cache_path: str | Path):
-        self.inner = inner
-        self.dim = inner.dim
-        self.name = f"cached-{inner.name}"
-        self.cache_path = Path(cache_path)
-        self._cache: dict[str, list[float]] = {}
-        if self.cache_path.exists():
-            with self.cache_path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        self._cache[row["text_hash"]] = row["vector"]
-
-    @staticmethod
-    def _key(text: str) -> str:
-        return hashlib.sha1(text.encode("utf-8")).hexdigest()
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        keys = [self._key(t) for t in texts]
-        missing = [i for i, k in enumerate(keys) if k not in self._cache]
-        if missing:
-            vectors = self.inner.embed([texts[i] for i in missing])
-            with self.cache_path.open("a", encoding="utf-8") as fh:
-                for pos, i in enumerate(missing):
-                    vec = vectors[pos].tolist()
-                    self._cache[keys[i]] = vec
-                    fh.write(json.dumps({"text_hash": keys[i], "vector": vec}) + "\n")
-        return np.array([self._cache[k] for k in keys], dtype=np.float64)
 
 
 def embed_batch(provider, texts: Sequence[str]) -> np.ndarray:

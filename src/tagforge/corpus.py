@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .runs import read_jsonl, write_jsonl
+
 
 class CorpusError(ValueError):
     """Malformed or inconsistent corpus / interaction input."""
@@ -147,12 +149,9 @@ def load_corpus(path: str | Path, lenient: bool = False,
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for item in corpus:
-            row = {"item_id": item.item_id, "title": item.title,
-                   "body": item.body, "extras": item.extras}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"item_id": item.item_id, "title": item.title,
+                        "body": item.body, "extras": item.extras}
+                       for item in corpus), ensure_ascii=False)
 
 
 def load_interactions(path: str | Path, corpus: Corpus | None = None,
@@ -189,11 +188,8 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
 
 
 def write_interactions(interactions: list[Interaction], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in interactions:
-            fh.write(json.dumps({"user_id": rec.user_id, "item_id": rec.item_id,
-                                 "timestamp": rec.timestamp}) + "\n")
+    write_jsonl(path, ({"user_id": rec.user_id, "item_id": rec.item_id,
+                        "timestamp": rec.timestamp} for rec in interactions))
 
 
 def last_out_split(interactions: list[Interaction],
@@ -224,35 +220,24 @@ def last_out_split(interactions: list[Interaction],
 
 
 def write_splits(split: SplitDataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for user_id in sorted(split.train):
-            fh.write(json.dumps({"split": "train", "user_id": user_id,
-                                 "item_ids": split.train[user_id]}) + "\n")
-            fh.write(json.dumps({"split": "valid", "user_id": user_id,
-                                 "item_id": split.valid[user_id]}) + "\n")
-            fh.write(json.dumps({"split": "test", "user_id": user_id,
-                                 "item_id": split.test[user_id]}) + "\n")
+    write_jsonl(path, (row for user_id in sorted(split.train) for row in (
+        {"split": "train", "user_id": user_id, "item_ids": split.train[user_id]},
+        {"split": "valid", "user_id": user_id, "item_id": split.valid[user_id]},
+        {"split": "test", "user_id": user_id, "item_id": split.test[user_id]})))
 
 
 def read_splits(path: str | Path) -> SplitDataset:
-    path = Path(path)
     train: dict[str, list[str]] = {}
     valid: dict[str, str] = {}
     test: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            kind = raw["split"]
-            if kind == "train":
-                train[raw["user_id"]] = list(raw["item_ids"])
-            elif kind == "valid":
-                valid[raw["user_id"]] = raw["item_id"]
-            elif kind == "test":
-                test[raw["user_id"]] = raw["item_id"]
-            else:
-                raise CorpusError(f"unknown split kind {kind!r}")
+    for raw in read_jsonl(path):
+        kind = raw["split"]
+        if kind == "train":
+            train[raw["user_id"]] = list(raw["item_ids"])
+        elif kind == "valid":
+            valid[raw["user_id"]] = raw["item_id"]
+        elif kind == "test":
+            test[raw["user_id"]] = raw["item_id"]
+        else:
+            raise CorpusError(f"unknown split kind {kind!r}")
     return SplitDataset(train=train, valid=valid, test=test)

@@ -20,6 +20,7 @@ from .assignment import BOS, EOS, SEP, SemidTable
 from .corpus import Corpus, SplitDataset
 from .gateway import AgentRole, Gateway
 from .protocol import ProtocolError, parse_name_list
+from .runs import write_json
 from .vocab import VocabularyTree
 
 
@@ -148,7 +149,7 @@ class SurrogateModel:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()), encoding="utf-8")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "SurrogateModel":

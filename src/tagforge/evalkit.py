@@ -16,6 +16,7 @@ from pathlib import Path
 from .assignment import SemidTable
 from .corpus import SplitDataset
 from .decoding import DescriptorTrie, SurrogateModel, beam_decode, encode_history
+from .runs import atomic_open
 
 
 class EvalError(ValueError):
@@ -130,7 +131,7 @@ def coverage_deltas(logs) -> list[tuple[int, int, float]]:
 
 def write_coverage_csv(rows: list[tuple[int, int, float]],
                        path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "cycle", "delta"])
         writer.writerows(rows)

@@ -7,7 +7,6 @@ coarse-to-fine sequences for comparison against pipeline descriptors.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from .corpus import Corpus
 from .gateway import (AgentRole, BudgetExhaustedError, Gateway,
                       TransportExhaustedError)
 from .protocol import ProtocolError, parse_keywords
+from .runs import read_jsonl, write_jsonl
 
 
 class FreeformError(ValueError):
@@ -42,21 +42,13 @@ class FreeformTagTable:
         self.frequency = freq
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for item_id in sorted(self.tags_by_item):
-                fh.write(json.dumps({"item_id": item_id,
-                                     "tags": self.tags_by_item[item_id]}) + "\n")
+        write_jsonl(path, ({"item_id": item_id, "tags": self.tags_by_item[item_id]}
+                           for item_id in sorted(self.tags_by_item)))
 
     @classmethod
     def load(cls, path: str | Path) -> "FreeformTagTable":
-        tags_by_item: dict[str, list[str]] = {}
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    row = json.loads(line)
-                    tags_by_item[row["item_id"]] = list(row["tags"])
-        table = cls(tags_by_item=tags_by_item)
+        table = cls(tags_by_item={row["item_id"]: list(row["tags"])
+                                  for row in read_jsonl(path)})
         table.rebuild_frequency()
         return table
 

@@ -22,6 +22,7 @@ import requests
 
 from .prompts import FORMAT_REMINDER
 from .protocol import ProtocolError
+from .runs import read_jsonl, write_jsonl
 
 
 class AgentRole(str, enum.Enum):
@@ -105,21 +106,16 @@ class CallLedger:
             }
 
     def save_jsonl(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
+        def rows():
             for key, row in self.snapshot().items():
                 role, template_id = key.split("/", 1)
-                fh.write(json.dumps({"role": role, "template_id": template_id,
-                                     **row}) + "\n")
+                yield {"role": role, "template_id": template_id, **row}
+        write_jsonl(path, rows())
 
     def load_jsonl(self, path: str | Path) -> None:
         """Merge previously persisted counters (used on resume)."""
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                self._merge(row["role"], row["template_id"], row)
+        for row in read_jsonl(path):
+            self._merge(row["role"], row["template_id"], row)
 
     def load_snapshot(self, snapshot: dict[str, dict[str, int]]) -> None:
         """Merge a snapshot() dict (used when resuming from a checkpoint)."""

@@ -26,7 +26,7 @@ from .protocol import (APPROVED, CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY,
                        parse_change_proposal, parse_matched_rules,
                        parse_reviews, serialize_change_proposal)
 from .vocab import (STATUS_OUTLIERS_RECORDED, BuildConfig, DescriptorNode,
-                    VocabularyTree, make_rule_id)
+                    VocabularyTree)
 
 
 class RefinementError(RuntimeError):
@@ -108,16 +108,6 @@ def log_from_json(row: dict) -> RefinementLog:
     return log
 
 
-def _fresh_rule_id(tree: VocabularyTree, local: dict[str, DescriptorNode],
-                   parent_id: str, name: str) -> str:
-    rule_id = make_rule_id(parent_id, name)
-    salt = 0
-    while rule_id in tree.nodes or rule_id in local:
-        salt += 1
-        rule_id = make_rule_id(parent_id, name, str(salt))
-    return rule_id
-
-
 def _make_proposal_id(parent_id: str, cycle: int, index: int) -> str:
     digest = hashlib.sha1(f"{parent_id}/{cycle}/{index}".encode()).hexdigest()
     return f"prop_{digest[:8]}"
@@ -172,7 +162,7 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
             notes.append(f"merged duplicate category name {cat.name!r}")
             continue
         seen_names.add(key)
-        rule_id = _fresh_rule_id(tree, local, parent.rule_id, cat.name)
+        rule_id = tree.fresh_rule_id(parent.rule_id, cat.name, local)
         node = DescriptorNode(rule_id=rule_id, name=cat.name,
                               description=cat.description,
                               parent=parent.rule_id, depth=parent.depth + 1)
@@ -347,7 +337,7 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
                              f"{name!r}, merged with existing rule")
                 effective.append(review)
                 continue
-            rule_id = _fresh_rule_id(tree, local, parent.rule_id, name)
+            rule_id = tree.fresh_rule_id(parent.rule_id, name, local)
             node = DescriptorNode(rule_id=rule_id, name=name,
                                   description=proposal.new_rule_description,
                                   parent=parent.rule_id, depth=parent.depth + 1)

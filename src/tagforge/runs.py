@@ -1,8 +1,12 @@
-"""Run-directory layout, stage manifest, and the single-writer lock.
+"""Run-directory layout, persistence, stage manifest, and the writer lock.
 
-Each pipeline stage records a hash of its inputs in ``manifest.json``; a
-stage whose hash matches and whose outputs still exist is skipped, which
-makes every subcommand idempotent for unchanged inputs.
+Every run-directory file is read with :func:`read_jsonl` / :func:`read_json`
+and written through :func:`atomic_open`, which streams to ``<name>.tmp``
+and renames it over the target only once the write finished, so a crash
+mid-write never leaves a truncated file behind. Each pipeline stage records
+a hash of its inputs in ``manifest.json``; a stage whose hash matches and
+whose outputs still exist is skipped, which makes every subcommand
+idempotent for unchanged inputs.
 """
 
 from __future__ import annotations
@@ -10,8 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 
 class RunDirError(RuntimeError):
@@ -69,6 +75,49 @@ class RunPaths:
         self.reports.mkdir(exist_ok=True)
 
 
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Text handle on ``<path>.tmp``, renamed over ``path`` on success.
+
+    On any error the temporary file is removed and ``path`` keeps its
+    previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict], **dumps_kwargs) -> None:
+    """Stream one JSON object per line through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, **dumps_kwargs) + "\n")
+
+
+def write_json(path: str | Path, payload, **dumps_kwargs) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, **dumps_kwargs))
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield one parsed object per non-blank line."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield json.loads(line)
+
+
+def read_json(path: str | Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def inputs_hash(*parts: object) -> str:
     digest = hashlib.sha256()
     for part in parts:
@@ -83,9 +132,7 @@ def inputs_hash(*parts: object) -> str:
 
 
 def load_manifest(paths: RunPaths) -> dict:
-    if paths.manifest.exists():
-        return json.loads(paths.manifest.read_text(encoding="utf-8"))
-    return {}
+    return read_json(paths.manifest) if paths.manifest.exists() else {}
 
 
 def stage_is_current(paths: RunPaths, stage: str, digest: str,
@@ -102,8 +149,7 @@ def mark_stage(paths: RunPaths, stage: str, digest: str,
     manifest = load_manifest(paths)
     manifest[stage] = {"inputs_hash": digest,
                        "outputs": [str(p) for p in outputs]}
-    paths.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                              encoding="utf-8")
+    write_json(paths.manifest, manifest, indent=2, sort_keys=True)
 
 
 class RunLock:

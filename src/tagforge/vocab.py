@@ -8,11 +8,13 @@ item sets are persisted separately as JSONL so the tree file stays small.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Container, Iterable, Mapping
+
+from .runs import read_json, read_jsonl, write_json, write_jsonl
 
 ROOT_NAME = "ROOT"
 ROOT_DESCRIPTION = "ROOT: INCLUDES: every item in the corpus. EXCLUDES: nothing."
@@ -80,10 +82,13 @@ class VocabularyTree:
         return sorted((n for n in self.nodes.values() if n.depth == depth),
                       key=lambda n: n.rule_id)
 
-    def fresh_rule_id(self, parent_id: str, name: str) -> str:
+    def fresh_rule_id(self, parent_id: str, name: str,
+                      taken: Container[str] = ()) -> str:
+        """Rule id for ``name`` under ``parent_id``, salted until it is free
+        in the tree and in ``taken`` (ids chosen but not yet committed)."""
         rule_id = make_rule_id(parent_id, name)
         salt = 0
-        while rule_id in self.nodes:
+        while rule_id in self.nodes or rule_id in taken:
             salt += 1
             rule_id = make_rule_id(parent_id, name, str(salt))
         return rule_id
@@ -138,29 +143,10 @@ class VocabularyTree:
             },
         }
 
-    def save(self, tree_path: str | Path,
-             items_path: str | Path | None = None) -> None:
-        Path(tree_path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True), encoding="utf-8")
-        if items_path is not None:
-            with Path(items_path).open("w", encoding="utf-8") as fh:
-                for rid in sorted(self.nodes):
-                    fh.write(json.dumps(
-                        {"rule_id": rid,
-                         "item_ids": sorted(self.nodes[rid].items)}) + "\n")
-
     @classmethod
-    def load(cls, tree_path: str | Path,
-             items_path: str | Path | None = None) -> "VocabularyTree":
-        payload = json.loads(Path(tree_path).read_text(encoding="utf-8"))
-        items_by_rule: dict[str, set[str]] = {}
-        if items_path is not None:
-            with Path(items_path).open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        items_by_rule[row["rule_id"]] = set(row["item_ids"])
+    def from_json(cls, payload: dict,
+                  items_by_rule: Mapping[str, Iterable[str]]) -> "VocabularyTree":
+        """Inverse of :meth:`to_json`, with member items supplied per rule."""
         tree = cls.__new__(cls)
         tree.root_id = payload["root"]
         tree.config = payload.get("config", {})
@@ -170,7 +156,7 @@ class VocabularyTree:
             tree.nodes[rid] = DescriptorNode(
                 rule_id=rid, name=raw["name"], description=raw["description"],
                 parent=raw["parent"], depth=raw["depth"],
-                items=items_by_rule.get(rid, set()),
+                items=set(items_by_rule.get(rid, ())),
                 status=raw.get("status", STATUS_ACTIVE))
             tree.children.setdefault(rid, [])
         for rid, node in tree.nodes.items():
@@ -179,6 +165,22 @@ class VocabularyTree:
         for rid in tree.children:
             tree.children[rid].sort()
         return tree
+
+    def save(self, tree_path: str | Path,
+             items_path: str | Path | None = None) -> None:
+        write_json(tree_path, self.to_json(), indent=2, sort_keys=True)
+        if items_path is not None:
+            write_jsonl(items_path, ({"rule_id": rid,
+                                      "item_ids": sorted(self.nodes[rid].items)}
+                                     for rid in sorted(self.nodes)))
+
+    @classmethod
+    def load(cls, tree_path: str | Path,
+             items_path: str | Path | None = None) -> "VocabularyTree":
+        items_by_rule = ({} if items_path is None else
+                         {row["rule_id"]: row["item_ids"]
+                          for row in read_jsonl(items_path)})
+        return cls.from_json(read_json(tree_path), items_by_rule)
 
 
 @dataclass

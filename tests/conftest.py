@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tagforge.clustering import HashingProvider
-from tagforge.gateway import AgentRole, Gateway
+from tagforge.gateway import AgentRole, Gateway, TransientBackendError
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_world
 
@@ -15,6 +15,21 @@ def make_gateway(world, seed=0, false_negative_rate=0.0, hidden=(),
                              hidden_categories=frozenset(hidden))
     return Gateway({AgentRole.ARCHITECT: backend,
                     AgentRole.ANNOTATOR: backend}, **gateway_kwargs)
+
+
+class OutageBackend:
+    """Wraps a backend; while ``down`` is set, every prompt that ``hit``
+    accepts fails the way an HTTP 503 does."""
+
+    def __init__(self, inner, hit):
+        self.inner = inner
+        self.hit = hit
+        self.down = True
+
+    def generate(self, prompt, decode):
+        if self.down and self.hit(prompt):
+            raise TransientBackendError("HTTP 503")
+        return self.inner.generate(prompt, decode)
 
 
 @pytest.fixture(scope="session")

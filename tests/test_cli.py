@@ -7,9 +7,14 @@ import sys
 
 import pytest
 
+from tagforge import cli
 from tagforge.cli import dispatch
+from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import write_corpus, write_interactions
+from tagforge.runs import read_json, read_jsonl
+
+from conftest import OutageBackend
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +78,16 @@ def test_critique_report_contains_both_arms(workspace):
 
 def test_stages_are_idempotent(workspace, capsys):
     root, config_path, _ = workspace
-    ledger_before = (root / "run/ledger.jsonl").read_text()
-    assert run(config_path, "build-vocab") == 0
-    assert run(config_path, "assign") == 0
+    capsys.readouterr()
+    ledger_before = (root / "run/ledger.jsonl").read_bytes()
+    stages = ("build-vocab", "assign", "evaluate", "critique-eval",
+              "baseline-freeform", "report")
+    for stage in stages:
+        assert run(config_path, stage) == 0, stage
     out = capsys.readouterr().out
-    assert out.count("up to date, skipping") == 2
-    assert (root / "run/ledger.jsonl").read_text() == ledger_before
+    for stage in stages:
+        assert f"{stage}: up to date, skipping" in out, stage
+    assert (root / "run/ledger.jsonl").read_bytes() == ledger_before
 
 
 def test_model_file_has_version_header(workspace):
@@ -101,8 +110,7 @@ def test_semids_jsonl_schema(workspace):
     assert all(isinstance(t, int) for t in row["tokens"])
 
 
-def test_budget_interrupt_then_resume(tmp_path):
-    world = make_world(branching=(3, 3), n_items=150, seed=7)
+def _mock_config(tmp_path, world, **extra):
     data = tmp_path / "data"
     data.mkdir()
     write_corpus(world.corpus, data / "corpus.jsonl")
@@ -114,9 +122,16 @@ def test_budget_interrupt_then_resume(tmp_path):
         "corpus_path": str(data / "corpus.jsonl"),
         "mock_world_path": str(data / "world.json"),
         "build": {"d_max": 2, "tau_split": 20},
+        **extra,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def test_budget_interrupt_then_resume(tmp_path):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
 
     code = dispatch(["build-vocab", "--config", str(config_path),
                      "--budget-max-calls", "170"])
@@ -131,6 +146,72 @@ def test_budget_interrupt_then_resume(tmp_path):
     vocab = json.loads((tmp_path / "run/vocab.json").read_text())
     depths = [n["depth"] for n in vocab["nodes"].values()]
     assert max(depths) == 2
+
+
+@pytest.mark.parametrize("stage", ["assign", "baseline-freeform"])
+def test_budget_exit_keeps_ledger_and_leaves_stage_unmarked(
+        tmp_path, capsys, small_build, stage):
+    world, state = small_build
+    config_path = _mock_config(tmp_path, world, parallelism=4)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+
+    code = dispatch([stage, "--config", str(config_path),
+                     "--budget-max-calls", "20"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("ERR:budget-exhausted:")
+    calls = sum(row["calls"] for row in read_jsonl(run_dir / "ledger.jsonl"))
+    assert calls == len(list(read_jsonl(run_dir / "transcript.jsonl"))) == 20
+    manifest = (run_dir / "manifest.json")
+    assert not manifest.exists() or stage not in read_json(manifest)
+
+    assert dispatch([stage, "--config", str(config_path)]) == 0
+    assert stage in read_json(manifest)
+
+
+def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
+                                                       capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world, max_retries=1, backoff_base=0.0)
+    backends = []
+
+    def level1_outage(*args, **kwargs):
+        # Node-level init prompts below the root carry the parent category.
+        backends.append(OutageBackend(MockLLMBackend(*args, **kwargs),
+                                      lambda prompt: "Parent category:" in prompt))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "MockLLMBackend", level1_outage)
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 3
+    assert capsys.readouterr().err.startswith("ERR:transport-exhausted:")
+    run_dir = tmp_path / "run"
+    assert (run_dir / "vocab.checkpoint.json").exists()
+    assert not (run_dir / "vocab.json").exists()
+    retries = sum(row["retries"] for row in read_jsonl(run_dir / "ledger.jsonl"))
+    assert retries > 0
+    assert read_json(run_dir / "vocab.checkpoint.json")["completed"]
+
+    monkeypatch.setattr(cli, "MockLLMBackend", MockLLMBackend)
+    assert dispatch(["resume", "--config", str(config_path)]) == 0
+    refined = read_json(run_dir / "build_report.json")["nodes_refined"]
+    assert len(refined) == len(set(refined)) == 4  # root + 3 level-1 nodes
+
+
+def test_locked_run_keeps_config_snapshot(workspace, tmp_path, capsys):
+    root, config_path, _ = workspace
+    snapshot = (root / "run" / "config.json").read_bytes()
+    other = json.loads(config_path.read_text()) | {"beam_width": 5}
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    lock = root / "run" / ".lock"
+    lock.write_text("12345")
+    try:
+        assert run(other_path, "evaluate") == 4
+        assert capsys.readouterr().err.startswith("ERR:locked:")
+    finally:
+        lock.unlink()
+    assert (root / "run" / "config.json").read_bytes() == snapshot
 
 
 def test_lock_file_blocks_second_writer(workspace, capsys):

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from tagforge.clustering import (CachedProvider, ClusteringError,
-                                 brute_force_medoids, distill, embed_batch,
-                                 k_means, k_medoids, _bucket)
+from tagforge.clustering import (ClusteringError, brute_force_medoids,
+                                 distill, embed_batch, k_means, k_medoids,
+                                 _bucket)
 
 
 def test_hashing_provider_deterministic(provider):
@@ -163,13 +163,3 @@ def test_distill_planted_groups_one_representative_each(provider):
     chosen_groups = {labels[texts.index(t)] for t in out}
     assert len(out) == 15
     assert chosen_groups == set(range(15))
-
-
-def test_cached_provider_round_trip(tmp_path, provider):
-    cache = tmp_path / "cache.jsonl"
-    cached = CachedProvider(provider, cache)
-    first = cached.embed(["hello world", "tent"])
-    again = CachedProvider(provider, cache)
-    second = again.embed(["hello world", "tent"])
-    assert np.allclose(first, second)
-    assert cache.read_text().count("\n") == 2

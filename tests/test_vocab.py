@@ -52,6 +52,13 @@ def test_fresh_rule_id_salts_on_collision():
     assert rid2 != rid
 
 
+def test_fresh_rule_id_skips_uncommitted_ids():
+    tree = _tree()
+    rid = tree.fresh_rule_id(tree.root_id, "kid")
+    assert tree.fresh_rule_id(tree.root_id, "kid", {rid}) != rid
+    assert tree.fresh_rule_id(tree.root_id, "kid") == rid
+
+
 def test_tree_save_load_round_trip(tmp_path):
     tree = _tree()
     rid = tree.fresh_rule_id(tree.root_id, "kid")
