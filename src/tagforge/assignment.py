@@ -206,18 +206,24 @@ class SemidRow:
 
 @dataclass
 class SemidTable:
+    """Token sequences per item plus the token meanings.
+
+    ``token_of`` (name -> token) and ``special_tokens`` are built once from
+    ``token_map``, which is not to be mutated afterwards.
+    """
+
     rows: list[SemidRow]
     token_map: dict[int, str]
+
+    def __post_init__(self) -> None:
+        self.token_of = {name: tok for tok, name in self.token_map.items()}
+        self.special_tokens = {name: tok for name, tok in self.token_of.items()
+                               if name.startswith("special:")}
 
     def row_of(self, item_id: str) -> SemidRow:
         if not hasattr(self, "_by_id"):
             self._by_id = {r.item_id: r for r in self.rows}
         return self._by_id[item_id]
-
-    @property
-    def special_tokens(self) -> dict[str, int]:
-        return {name: tok for tok, name in self.token_map.items()
-                if name.startswith("special:")}
 
     def save(self, rows_path: str | Path, map_path: str | Path) -> None:
         write_jsonl(rows_path, ({"item_id": row.item_id, "tokens": row.tokens,
@@ -275,7 +281,7 @@ def export_semids(records: list[AssignmentRecord],
 
 def decode_semids(table: SemidTable) -> list[AssignmentRecord]:
     """Invert :func:`export_semids`; exact round-trip."""
-    eos_token = {v: k for k, v in table.token_map.items()}[f"special:{EOS}"]
+    eos_token = table.token_of[f"special:{EOS}"]
     records = []
     for row in table.rows:
         tokens = list(row.tokens)

@@ -62,7 +62,7 @@ class RunConfig:
     surrogate_alpha: float = 0.1
     beam_width: int = 20
     eval_mode: str = "full"
-    eval_ks: list[int] = field(default_factory=lambda: [5, 10, 20, 50])
+    eval_ks: list[int] = field(default_factory=lambda: [5, 10, 20])
     n_negatives: int = 100
     simulator: str = "oracle"
     freeform_n_tags: int = 3
@@ -269,6 +269,17 @@ def _decode_setup(paths: RunPaths):
     return split, table, model, dec.build_trie(table)
 
 
+def _run_eval(run: StageRun, *args, **kwargs) -> evalkit.MetricReport:
+    """``evalkit.evaluate_run`` at the configured cutoffs, seed and beam
+    width; cutoffs the beam cannot fill are a config error."""
+    cfg = run.cfg
+    try:
+        return evalkit.evaluate_run(*args, ks=tuple(cfg.eval_ks), seed=cfg.seed,
+                                    beam_width=cfg.beam_width, **kwargs)
+    except evalkit.EvalError as exc:
+        raise CliError("config", str(exc), 2) from exc
+
+
 def _ingest_inputs(run: StageRun) -> tuple:
     cfg = run.cfg
     if cfg.corpus_path is None:
@@ -420,10 +431,8 @@ def _recommend(run: StageRun) -> str:
 def _evaluate(run: StageRun) -> str:
     cfg = run.cfg
     split, table, model, trie = _decode_setup(run.paths)
-    report = evalkit.evaluate_run(
-        model, trie, split, table, mode=cfg.eval_mode,
-        ks=tuple(cfg.eval_ks), seed=cfg.seed, n_negatives=cfg.n_negatives,
-        beam_width=cfg.beam_width)
+    report = _run_eval(run, model, trie, split, table, mode=cfg.eval_mode,
+                       n_negatives=cfg.n_negatives)
     write_json(run.paths.reports / f"eval_{cfg.eval_mode}.json",
                report.to_json(), indent=2, sort_keys=True)
     return (f"evaluate[{cfg.eval_mode}]: "
@@ -443,17 +452,14 @@ def _critique_eval(run: StageRun) -> str:
     corpus = load_corpus(_corpus_source(run))
     gateway = run.gateway if cfg.simulator == "llm" else None
     known = {row.item_id for row in table.rows}
+    # The plain run goes first: it rejects bad cutoffs before any simulator call.
+    vanilla = _run_eval(run, model, trie, split, table, mode="full")
     allowed_by_user = {
         user_id: dec.simulate_user(target, corpus, table, tree,
                                    mode=cfg.simulator, gateway=gateway)
         for user_id, target in sorted(split.test.items()) if target in known}
-    vanilla = evalkit.evaluate_run(model, trie, split, table, mode="full",
-                                   ks=tuple(cfg.eval_ks), seed=cfg.seed,
-                                   beam_width=cfg.beam_width)
-    constrained = evalkit.evaluate_run(model, trie, split, table, mode="full",
-                                       ks=tuple(cfg.eval_ks), seed=cfg.seed,
-                                       beam_width=cfg.beam_width,
-                                       allowed_level1_by_user=allowed_by_user)
+    constrained = _run_eval(run, model, trie, split, table, mode="full",
+                            allowed_level1_by_user=allowed_by_user)
     payload = {"simulator": cfg.simulator, "vanilla": vanilla.to_json(),
                "constrained": constrained.to_json()}
     write_json(paths.reports / "critique_eval.json", payload, indent=2,

@@ -78,6 +78,10 @@ def build_trie(table: SemidTable) -> DescriptorTrie:
     return trie
 
 
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else -math.inf
+
+
 class SurrogateModel:
     """Order-m additive-smoothing n-gram scorer over semantic-ID streams."""
 
@@ -95,8 +99,12 @@ class SurrogateModel:
         self.eos_token = eos_token
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.context_totals: dict[tuple[int, ...], int] = {}
+        # context -> ({observed token: logprob}, logprob of any unseen token)
+        self._logprob_rows: dict[tuple[int, ...],
+                                 tuple[dict[int, float], float]] = {}
 
     def observe_stream(self, tokens: list[int]) -> None:
+        self._logprob_rows.clear()
         m = self.order
         for i in range(m - 1, len(tokens)):
             ctx = tuple(tokens[i - m + 1:i])
@@ -105,6 +113,13 @@ class SurrogateModel:
             row[nxt] = row.get(nxt, 0) + 1
             self.context_totals[ctx] = self.context_totals.get(ctx, 0) + 1
 
+    def _smoothed(self, count: int, total: int) -> float:
+        if self.alpha == 0.0:
+            if total == 0:
+                return 1.0 / self.vocab_size
+            return count / total
+        return (count + self.alpha) / (total + self.alpha * self.vocab_size)
+
     def prob(self, token: int, context: tuple[int, ...]) -> float:
         """P(token | last order-1 context tokens), additive smoothing.
 
@@ -112,17 +127,26 @@ class SurrogateModel:
         distribution over the vocabulary.
         """
         ctx = context[-(self.order - 1):] if self.order > 1 else ()
-        total = self.context_totals.get(ctx, 0)
-        count = self.counts.get(ctx, {}).get(token, 0)
-        if self.alpha == 0.0:
-            if total == 0:
-                return 1.0 / self.vocab_size
-            return count / total
-        return (count + self.alpha) / (total + self.alpha * self.vocab_size)
+        return self._smoothed(self.counts.get(ctx, {}).get(token, 0),
+                              self.context_totals.get(ctx, 0))
 
     def logprob(self, token: int, context: tuple[int, ...]) -> float:
-        p = self.prob(token, context)
-        return math.log(p) if p > 0 else -math.inf
+        """``log(prob(token, context))``, ``-inf`` for probability 0.
+
+        Served from a per-context row built on first use: one entry per
+        token observed after the context and one value shared by every
+        unseen token, so a row is as sparse as the counts behind it.
+        """
+        ctx = context[-(self.order - 1):] if self.order > 1 else ()
+        row = self._logprob_rows.get(ctx)
+        if row is None:
+            total = self.context_totals.get(ctx, 0)
+            row = ({t: _log(self._smoothed(c, total))
+                    for t, c in self.counts.get(ctx, {}).items()},
+                   _log(self._smoothed(0, total)))
+            self._logprob_rows[ctx] = row
+        seen, unseen = row
+        return seen.get(token, unseen)
 
     def score_sequence(self, context: tuple[int, ...],
                        tokens: list[int]) -> float:
@@ -250,7 +274,9 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
         extra = allowed_level1 - trie.level1_tokens()
         if extra:
             raise DecodingError(f"allowed tokens not at level 1: {sorted(extra)}")
-    live = [(trie.root, history, 0.0, ())]
+    # Hypotheses carry only the context tail the model reads.
+    keep = model.order - 1
+    live = [(trie.root, history[-keep:] if keep else (), 0.0, ())]
     finished: list[tuple[str, float, tuple[int, ...]]] = []
     first = True
     while live:
@@ -264,7 +290,7 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
                 candidates.append((child, token, ctx, score + step, gen))
         next_live = []
         for child, token, ctx, score, gen in candidates:
-            new_ctx = ctx + (token,)
+            new_ctx = (ctx + (token,))[-keep:] if keep else ()
             new_gen = gen + (token,)
             if child.item_id is not None:
                 eos_score = score + model.logprob(model.eos_token, new_ctx)
@@ -310,9 +336,8 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
     if not row.path_names:
         raise DecodingError(f"{item_id}: no level-1 descriptor assigned")
     level1_nodes = tree.children_of(tree.root_id)
-    token_by_rule = {v: k for k, v in table.token_map.items()}
-    token_by_name = {n.name: token_by_rule[n.rule_id] for n in level1_nodes
-                     if n.rule_id in token_by_rule}
+    token_by_name = {n.name: table.token_of[n.rule_id] for n in level1_nodes
+                     if n.rule_id in table.token_of}
     true_name = row.path_names[0]
     if mode == "llm":
         if gateway is None:

@@ -64,7 +64,7 @@ class MetricReport:
 
 def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
                  split: SplitDataset, table: SemidTable, mode: str = "full",
-                 ks: tuple[int, ...] = (5, 10, 20, 50), seed: int = 0,
+                 ks: tuple[int, ...] = (5, 10, 20), seed: int = 0,
                  n_negatives: int = 100, beam_width: int = 20,
                  allowed_level1_by_user: dict[str, set[int]] | None = None) -> MetricReport:
     """Average per-user metrics over the test targets.
@@ -72,12 +72,16 @@ def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
     ``full`` decodes the trie with the beam; ``sampled`` ranks the target
     plus ``n_negatives`` seeded uniform negatives (drawn outside the user's
     train history) by sequence score. Users whose target lacks a semantic ID
-    are skipped and counted.
+    are skipped and counted. The beam returns at most ``beam_width`` items,
+    so full mode rejects a cutoff above it.
     """
     if mode not in ("full", "sampled"):
         raise EvalError(f"unknown evaluation mode {mode!r}")
     if mode == "full" and trie is None:
         raise EvalError("full-rank mode requires a trie")
+    if mode == "full" and max(ks, default=0) > beam_width:
+        raise EvalError(f"cutoff K={max(ks)} exceeds beam width {beam_width}: "
+                        "full-rank lists hold at most beam_width items")
     known = {row.item_id for row in table.rows}
     all_ids = sorted(known)
     sums = {k: [0.0, 0.0] for k in ks}

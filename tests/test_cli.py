@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 import subprocess
 import sys
@@ -212,6 +213,30 @@ def test_locked_run_keeps_config_snapshot(workspace, tmp_path, capsys):
     finally:
         lock.unlink()
     assert (root / "run" / "config.json").read_bytes() == snapshot
+
+
+def test_full_rank_cutoff_above_beam_width_is_config_error(workspace, tmp_path,
+                                                          capsys):
+    root, config_path, _ = workspace
+    run_dir = tmp_path / "run"
+    shutil.copytree(root / "run", run_dir)
+    critique_before = (run_dir / "reports/critique_eval.json").read_bytes()
+    base = json.loads(config_path.read_text()) | {"run_dir": str(run_dir),
+                                                  "eval_ks": [5, 50]}
+    full_path = tmp_path / "full.json"
+    full_path.write_text(json.dumps(base | {"eval_mode": "full"}))
+    for stage in ("evaluate", "critique-eval"):
+        capsys.readouterr()
+        assert run(full_path, stage) == 2, stage
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:config:") and "beam width 20" in err, stage
+    assert not (run_dir / "reports/eval_full.json").exists()
+    assert (run_dir / "reports/critique_eval.json").read_bytes() == critique_before
+    sampled_path = tmp_path / "sampled.json"
+    sampled_path.write_text(json.dumps(base | {"eval_mode": "sampled"}))
+    assert run(sampled_path, "evaluate", "--force") == 0
+    report = read_json(run_dir / "reports/eval_sampled.json")
+    assert set(report["recall"]) == {"5", "50"}
 
 
 def test_lock_file_blocks_second_writer(workspace, capsys):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagforge.assignment import AssignmentRecord, SemidRow, SemidTable, export_semids, resolve_collisions
 from tagforge.corpus import SplitDataset
@@ -104,6 +107,43 @@ def test_surrogate_distributions_normalize(small_semids):
         assert abs(total - 1.0) < 1e-9
 
 
+def _expected_logprob(model: SurrogateModel, token: int, ctx: tuple) -> float:
+    p = model.prob(token, ctx)
+    return math.log(p) if p > 0 else -math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 4), alpha=st.sampled_from([0.0, 0.1]),
+       first=st.lists(st.lists(st.integers(0, 4), max_size=12), min_size=1,
+                      max_size=4),
+       later=st.lists(st.lists(st.integers(0, 5), max_size=12), min_size=1,
+                      max_size=3),
+       queries=st.lists(st.tuples(st.integers(0, 5),
+                                  st.lists(st.integers(0, 5), max_size=5)),
+                        min_size=1, max_size=30))
+def test_logprob_rows_equal_log_of_prob(order, alpha, first, later, queries):
+    # Token 5 never occurs in ``first``: contexts holding it are unseen (the
+    # uniform fallback at alpha 0) and it is an unseen token in seen contexts.
+    vocab = 6
+    model = SurrogateModel(order=order, alpha=alpha, vocab_size=vocab)
+    for stream in first:
+        model.observe_stream(stream)
+    seen_ctx = next(iter(model.counts), ())
+    queries = queries + [(5, list(seen_ctx)), (5, [5] * (order - 1))]
+    for token, ctx in queries:
+        assert model.logprob(token, tuple(ctx)) == \
+            _expected_logprob(model, token, tuple(ctx))
+    for stream in later:
+        model.observe_stream(stream)
+    fresh = SurrogateModel(order=order, alpha=alpha, vocab_size=vocab)
+    for stream in first + later:
+        fresh.observe_stream(stream)
+    for token, ctx in queries:
+        expected = _expected_logprob(fresh, token, tuple(ctx))
+        assert model.logprob(token, tuple(ctx)) == expected
+        assert fresh.logprob(token, tuple(ctx)) == expected
+
+
 def test_surrogate_save_load_round_trip(tmp_path):
     table = tiny_table()
     split = SplitDataset(train={"u1": ["i1", "i2"]}, valid={}, test={})
@@ -181,6 +221,20 @@ def test_constrained_equals_filtered_enumeration(decode_setup):
     assert [c[0] for c in constrained] == [o[0] for o in oracle]
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_beam_reads_only_the_context_tail(decode_setup, order):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=order, alpha=0.1)
+    big = trie.n_terminals + 10
+    for user_id in sorted(split.test)[:5]:
+        history = encode_history(table, split.train[user_id], order)
+        tail = history[-(order - 1):] if order > 1 else ()
+        for width in (5, big):
+            ranked = beam_decode(model, history, trie, width)
+            assert ranked == beam_decode(model, tail, trie, width)
+        assert ranked == enumerate_rank(model, history, table)
+
+
 def test_beam_rejects_bad_arguments(decode_setup):
     _, _, _, table, split, model, trie = decode_setup
     history = encode_history(table, split.train[sorted(split.test)[0]],
@@ -192,6 +246,14 @@ def test_beam_rejects_bad_arguments(decode_setup):
     with pytest.raises(DecodingError):
         beam_decode(model, history, trie, beam_width=5,
                     allowed_level1={999999})
+
+
+def test_special_tokens_built_once():
+    table = tiny_table()
+    assert table.special_tokens is table.special_tokens
+    assert table.special_tokens == {"special:<bos>": 0, "special:<eos>": 1,
+                                    "special:<sep>": 2}
+    assert table.token_of["resolver:0"] == 7
 
 
 def test_user_stream_layout():
