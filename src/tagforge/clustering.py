@@ -4,6 +4,15 @@ The default provider hashes tokens into a fixed number of buckets and
 L2-normalizes, so everything runs offline and deterministically. K-Medoids
 is classic PAM (greedy BUILD, then best-improvement SWAP) over Euclidean
 distances; K-Means is k-means++ seeded Lloyd iteration.
+
+PAM holds one n x n distance matrix and works through it in blocks of 256
+candidate columns, so its other temporaries stay small. SWAP scores all
+k x n (medoid, candidate) swaps in one pass per iteration with FastPAM1's
+split of the cost change into a term shared by every medoid plus a term
+over the points the removed medoid owns (Schubert & Rousseeuw, "Fast and
+eager k-medoids clustering", Information Systems 2021). It then takes the
+first minimum in (medoid, candidate) order; swaps of equal cost in exact
+arithmetic may resolve differently under rounding.
 """
 
 from __future__ import annotations
@@ -81,20 +90,41 @@ def _check_inputs(vectors: np.ndarray, k: int) -> np.ndarray:
     return vectors
 
 
+# Candidate columns per block: BUILD's and SWAP's temporaries are n x _BLOCK,
+# so the n x n distance matrix is the only array of its size.
+_BLOCK = 256
+
+
+def _blocks(n: int):
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
+
 def _distance_matrix(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean distances, built in place in one n x n array.
+
+    Each entry is ``sqrt(max((|a|^2 + |b|^2) + (-2a).b, 0))``: the vectors
+    are scaled before the product, so the values are bit-identical to
+    ``|a|^2 + |b|^2 - (2a).b`` and do not depend on the block size.
+    """
     sq = np.sum(vectors ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * vectors @ vectors.T
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    dist = (-2.0 * vectors) @ vectors.T
+    for rows in _blocks(len(sq)):
+        dist[rows] += sq[rows, None] + sq[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return np.sqrt(dist, out=dist)
 
 
 def _pam_build(dist: np.ndarray, k: int) -> list[int]:
     """Greedy BUILD: 1-medoid optimum, then the best-improving additions."""
+    n = dist.shape[0]
     medoids = [int(np.argmin(dist.sum(axis=0)))]
     nearest = dist[:, medoids[0]].copy()
+    candidate_cost = np.empty(n)
     while len(medoids) < k:
-        candidate_cost = np.minimum(nearest[:, None], dist).sum(axis=0)
+        for cols in _blocks(n):
+            candidate_cost[cols] = np.minimum(nearest[:, None],
+                                              dist[:, cols]).sum(axis=0)
         candidate_cost[medoids] = np.inf
         best = int(np.argmin(candidate_cost))
         medoids.append(best)
@@ -102,48 +132,67 @@ def _pam_build(dist: np.ndarray, k: int) -> list[int]:
     return medoids
 
 
+def _nearest_two(dist: np.ndarray, medoids: list[int]):
+    """Distance to the nearest and second-nearest medoid, and the position
+    in ``medoids`` of the nearest (the first one on a tie)."""
+    n = dist.shape[0]
+    cols = dist[:, medoids]
+    order = np.argsort(cols, axis=1, kind="stable")
+    d1 = cols[np.arange(n), order[:, 0]]
+    if len(medoids) > 1:
+        d2 = cols[np.arange(n), order[:, 1]]
+    else:
+        d2 = np.full(n, np.inf)
+    return d1, d2, order[:, 0]
+
+
+def _swap_deltas(dist: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                 owner: np.ndarray, k: int) -> np.ndarray:
+    """Cost change of swapping medoid ``m`` for point ``h``, as a k x n array.
+
+    FastPAM1's split: every point j moves to h when h is nearer than its
+    medoid, a term shared by all m; the points m owns that stay farther
+    from h than from m fall back to min(d(j, h), d2(j)) instead.
+    """
+    n = dist.shape[0]
+    # Rows sorted by owner, so that one reduceat sums each medoid's points;
+    # a medoid that owns no point (a duplicate of another) has no segment.
+    rows = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=k)
+    owners = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[owners]
+    near, second = d1[rows, None], d2[rows, None]
+    delta = np.zeros((k, n))
+    for cols in _blocks(n):
+        block = dist[rows, cols]
+        closer = block - near
+        delta[:, cols] = np.minimum(closer, 0.0, out=closer).sum(axis=0)
+        np.minimum(block, second, out=block)
+        block -= near
+        np.maximum(block, 0.0, out=block)
+        delta[owners, cols] += np.add.reduceat(block, starts, axis=0)
+    return delta
+
+
 def _swap_descent(dist: np.ndarray, medoids: list[int],
                   max_iter: int) -> tuple[list[int], float, list[float]]:
-    """Best-improvement SWAP until no swap lowers the cost."""
-    n = dist.shape[0]
-    k = len(medoids)
+    """Best-improvement SWAP until no swap lowers the cost.
+
+    Each iteration scores all k x n swaps in one pass over ``dist`` and
+    takes the first minimum in (medoid, candidate) order.
+    """
     medoids = list(medoids)
-
-    def _nearest_two(medoid_list: list[int]):
-        cols = dist[:, medoid_list]
-        order = np.argsort(cols, axis=1, kind="stable")
-        d1 = cols[np.arange(n), order[:, 0]]
-        owner = order[:, 0]
-        if len(medoid_list) > 1:
-            d2 = cols[np.arange(n), order[:, 1]]
-        else:
-            d2 = np.full(n, np.inf)
-        return d1, d2, owner
-
-    d1, d2, owner = _nearest_two(medoids)
+    d1, d2, owner = _nearest_two(dist, medoids)
     cost = float(d1.sum())
     history = [cost]
     for _ in range(max_iter):
-        best_delta = -1e-12
-        best_swap: tuple[int, int] | None = None
-        for mi in range(k):
-            mine = owner == mi
-            others = ~mine
-            # Swapping medoid mi for candidate h: points owned by mi move to
-            # min(d(h), second-nearest); other points may defect to h.
-            gain_mine = (np.minimum(dist[mine], d2[mine, None]) -
-                         d1[mine, None]).sum(axis=0)
-            gain_others = np.minimum(dist[others] - d1[others, None], 0.0).sum(axis=0)
-            delta = gain_mine + gain_others
-            delta[medoids] = np.inf
-            h = int(np.argmin(delta))
-            if delta[h] < best_delta:
-                best_delta = float(delta[h])
-                best_swap = (mi, h)
-        if best_swap is None:
+        delta = _swap_deltas(dist, d1, d2, owner, len(medoids))
+        delta[:, medoids] = np.inf
+        mi, h = np.unravel_index(int(np.argmin(delta)), delta.shape)
+        if not delta[mi, h] < -1e-12:
             break
-        medoids[best_swap[0]] = best_swap[1]
-        d1, d2, owner = _nearest_two(medoids)
+        medoids[mi] = int(h)
+        d1, d2, owner = _nearest_two(dist, medoids)
         cost = float(d1.sum())
         history.append(cost)
     return medoids, cost, history
@@ -158,7 +207,12 @@ def k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
               n_restarts: int | None = None) -> ClusterResult:
     """PAM: greedy BUILD then best-improvement SWAP until no swap improves.
 
-    Distances are Euclidean and all ties break toward the lowest index.
+    Distances are Euclidean. Each SWAP iteration scores every (medoid,
+    candidate) swap in one pass over column blocks of the distance matrix
+    and applies the first minimum in (medoid, candidate) order if it lowers
+    the cost by more than 1e-12; BUILD ties break toward the lowest index.
+    Swaps of equal cost in exact arithmetic may resolve differently under
+    rounding, and so may the descent that follows.
     SWAP alone can stall in a single-swap local optimum, so small instances
     (n <= 512 by default) additionally descend from ``n_restarts`` seeded
     random starts and keep the best result; large instances use the BUILD
@@ -189,22 +243,6 @@ def k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
     owner = np.argmin(cols, axis=1)
     return ClusterResult(k=k, assignment=owner, total_cost=cost,
                          medoid_indices=sorted_medoids, cost_history=history)
-
-
-def brute_force_medoids(vectors: np.ndarray, k: int) -> tuple[list[int], float]:
-    """Exhaustive optimum over all medoid subsets; test oracle for small n."""
-    from itertools import combinations
-
-    vectors = _check_inputs(vectors, k)
-    dist = _distance_matrix(vectors)
-    best_cost = np.inf
-    best: tuple[int, ...] = ()
-    for combo in combinations(range(vectors.shape[0]), k):
-        cost = dist[:, combo].min(axis=1).sum()
-        if cost < best_cost - 1e-15:
-            best_cost = cost
-            best = combo
-    return list(best), float(best_cost)
 
 
 def k_means(vectors: np.ndarray, k: int, seed: int = 0,

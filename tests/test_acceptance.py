@@ -21,8 +21,7 @@ from tagforge import prompts
 from tagforge.assignment import (AssignmentRecord, assign_paths, decode_semids,
                                  export_semids, resolve_collisions, vocab_stats)
 from tagforge.builder import BuildInterrupted, build_vocabulary, load_checkpoint
-from tagforge.clustering import (HashingProvider, brute_force_medoids, k_means,
-                                 k_medoids)
+from tagforge.clustering import HashingProvider, k_means, k_medoids
 from tagforge.corpus import SplitDataset, last_out_split
 from tagforge.decoding import (beam_decode, build_trie, encode_history,
                                enumerate_rank, fit_surrogate, simulate_user)
@@ -33,6 +32,7 @@ from tagforge.planted import make_interactions, make_world
 from tagforge.vocab import BuildConfig, DescriptorNode, VocabularyTree
 
 from conftest import make_gateway
+from oracles import brute_force_medoids
 
 
 @contextmanager
