@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import prompts, wire
 from .corpus import Corpus
-from .gateway import (AgentRole, BudgetExhaustedError, Gateway,
-                      TransportExhaustedError)
+from .gateway import AgentRole, Gateway, fan_out
 from .protocol import (STOP, ProtocolError, parse_best_rule, parse_path_choice)
 from .runs import atomic_open, read_json, read_jsonl, write_json, write_jsonl
 from .vocab import VocabularyTree
@@ -90,33 +89,22 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     ``per-level`` descends greedily, presenting only the current node's
     children and asking for the single best child or STOP. ``one-shot``
     presents the whole vocabulary once and asks for a complete path.
-    Per-item failures yield an empty or truncated path with a flag; the
-    batch never aborts.
+    Per-item failures yield an empty or truncated path with a flag; only an
+    exhausted call budget stops the batch (see :func:`gateway.fan_out`).
     """
     if mode not in ("per-level", "one-shot"):
         raise AssignmentError(f"unknown assignment mode {mode!r}")
     worker = _descend if mode == "per-level" else _one_shot
-    results: dict[str, AssignmentRecord] = {}
-    budget_error: BudgetExhaustedError | None = None
     items = list(corpus)
-    with ThreadPoolExecutor(max_workers=max(1, min(parallelism, len(items)))) as pool:
-        futures = {pool.submit(worker, item, tree, gateway, item_text_budget): item
-                   for item in items}
-        for future, item in futures.items():
-            try:
-                results[item.item_id] = future.result()
-            except BudgetExhaustedError as exc:
-                budget_error = exc
-            except (TransportExhaustedError, ProtocolError) as exc:
-                results[item.item_id] = AssignmentRecord(
-                    item_id=item.item_id, path=(), terminated=True,
-                    flag=f"transport: {exc}")
-    if budget_error is not None:
-        raise budget_error
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = fan_out(pool, lambda item: worker(item, tree, gateway,
+                                                    item_text_budget), items)
     max_depth = tree.max_depth()
     records = []
-    for item_id in sorted(results):
-        rec = results[item_id]
+    for item, rec in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
+        if isinstance(rec, Exception):
+            rec = AssignmentRecord(item_id=item.item_id, path=(),
+                                   flag=f"transport: {rec}")
         rec.terminated = len(rec.path) < max_depth
         records.append(rec)
     return records
@@ -277,26 +265,6 @@ def export_semids(records: list[AssignmentRecord],
         rows.append(SemidRow(item_id=rec.item_id, tokens=tokens,
                              path_names=names))
     return SemidTable(rows=rows, token_map=token_map)
-
-
-def decode_semids(table: SemidTable) -> list[AssignmentRecord]:
-    """Invert :func:`export_semids`; exact round-trip."""
-    eos_token = table.token_of[f"special:{EOS}"]
-    records = []
-    for row in table.rows:
-        tokens = list(row.tokens)
-        if tokens and tokens[-1] == eos_token:
-            tokens = tokens[:-1]
-        if not tokens:
-            raise AssignmentError(f"{row.item_id}: empty token sequence")
-        resolver_name = table.token_map[tokens[-1]]
-        if not resolver_name.startswith("resolver:"):
-            raise AssignmentError(f"{row.item_id}: sequence lacks a resolver token")
-        path = tuple(table.token_map[t] for t in tokens[:-1])
-        records.append(AssignmentRecord(
-            item_id=row.item_id, path=path,
-            resolver=int(resolver_name.split(":", 1)[1])))
-    return records
 
 
 def export_fixed_slots(records: list[AssignmentRecord], tree: VocabularyTree,

@@ -73,7 +73,6 @@ class RunConfig:
     budget_max_calls: int | None = None
     max_retries: int = 3
     backoff_base: float = 0.5
-    max_inflight: int = 16
     mock_world_path: str | None = None
     mock_hidden_categories: list[str] = field(default_factory=list)
     mock_false_negative_rate: float = 0.0
@@ -159,7 +158,6 @@ def make_gateway(cfg: RunConfig, paths: RunPaths,
         ledger.load_jsonl(paths.ledger)
     return Gateway(backends, max_retries=cfg.max_retries,
                    backoff_base=cfg.backoff_base, max_calls=cfg.budget_max_calls,
-                   max_inflight=cfg.max_inflight,
                    transcript_path=paths.transcript,
                    default_decode=DecodeParams(temperature=cfg.http_temperature),
                    ledger=ledger)
@@ -569,6 +567,8 @@ def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(RunConfig.load(args.config), args)
+        if cfg.parallelism < 1:
+            raise CliError("config", "parallelism must be >= 1", 2)
         paths = RunPaths(Path(cfg.run_dir))
         paths.ensure()
         with RunLock(paths):

@@ -304,20 +304,6 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
     return [(item_id, score) for item_id, score, _ in finished[:beam_width]]
 
 
-def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
-                   table: SemidTable,
-                   allowed_level1: set[int] | None = None) -> list[tuple[str, float]]:
-    """Exhaustive scoring of every item's full sequence; oracle for decode."""
-    scored = []
-    for row in table.rows:
-        if allowed_level1 is not None and row.tokens[0] not in allowed_level1:
-            continue
-        scored.append((row.item_id,
-                       model.score_sequence(history, list(row.tokens))))
-    scored.sort(key=lambda f: (-f[1], f[0]))
-    return scored
-
-
 def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
                   tree: VocabularyTree, mode: str = "oracle",
                   gateway: Gateway | None = None, k_nearest: int = 0,

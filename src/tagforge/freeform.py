@@ -14,9 +14,8 @@ from pathlib import Path
 from . import prompts, wire
 from .clustering import embed_batch, k_means
 from .corpus import Corpus
-from .gateway import (AgentRole, BudgetExhaustedError, Gateway,
-                      TransportExhaustedError)
-from .protocol import ProtocolError, parse_keywords
+from .gateway import AgentRole, Gateway, fan_out
+from .protocol import parse_keywords
 from .runs import read_jsonl, write_jsonl
 
 
@@ -58,7 +57,7 @@ def generate_freeform(corpus: Corpus, gateway: Gateway, n_tags_per_item: int = 3
                       item_text_budget: int = 1500) -> FreeformTagTable:
     """One tagging call per item; failures yield empty tag lists, counted."""
 
-    def tag_item(item) -> tuple[str, list[str]]:
+    def tag_item(item) -> list[str]:
         prompt = prompts.render_prompt(prompts.FREEFORM_TAG, {
             "n_tags": str(n_tags_per_item),
             "item_text": wire.item_line(item.item_id,
@@ -71,27 +70,17 @@ def generate_freeform(corpus: Corpus, gateway: Gateway, n_tags_per_item: int = 3
             tag = normalize_tag(kw)
             if tag and tag not in seen:
                 seen.append(tag)
-        return item.item_id, seen
+        return seen
 
-    results: dict[str, list[str]] = {}
-    n_failed = 0
-    budget_error: BudgetExhaustedError | None = None
     items = list(corpus)
-    with ThreadPoolExecutor(max_workers=max(1, min(parallelism, len(items)))) as pool:
-        futures = {pool.submit(tag_item, item): item for item in items}
-        for future, item in futures.items():
-            try:
-                item_id, tags = future.result()
-                results[item_id] = tags
-            except BudgetExhaustedError as exc:
-                budget_error = exc
-            except (TransportExhaustedError, ProtocolError):
-                results[item.item_id] = []
-                n_failed += 1
-    if budget_error is not None:
-        raise budget_error
-    table = FreeformTagTable(tags_by_item=dict(sorted(results.items())),
-                             n_failed_items=n_failed)
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = fan_out(pool, tag_item, items)
+    table = FreeformTagTable(tags_by_item={})
+    for item, tags in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
+        if isinstance(tags, Exception):
+            tags = []
+            table.n_failed_items += 1
+        table.tags_by_item[item.item_id] = tags
     table.rebuild_frequency()
     return table
 

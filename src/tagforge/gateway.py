@@ -3,7 +3,9 @@
 A :class:`Gateway` owns one backend per role, a thread-safe call ledger, a
 retry policy for transient transport failures, an optional global call
 budget, and an optional transcript log. ``complete_parsed`` layers the
-re-ask policy for malformed responses on top.
+re-ask policy for malformed responses on top. :func:`fan_out` runs one
+batch of per-item calls on a caller's pool, whose width (``parallelism``)
+is the one cap on calls in flight.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import requests
 
@@ -197,11 +200,15 @@ def _first_candidate_text(payload: dict) -> str:
 
 
 class Gateway:
-    """Role-routed LLM transport with ledger, budget, and bounded fan-out."""
+    """Role-routed LLM transport with ledger, retries, budget and transcript.
+
+    Thread-safe: batches call it from pool threads through :func:`fan_out`,
+    and the pool's width bounds how many calls are in flight.
+    """
 
     def __init__(self, backends: dict[AgentRole, object],
                  max_retries: int = 3, backoff_base: float = 0.5,
-                 max_calls: int | None = None, max_inflight: int = 16,
+                 max_calls: int | None = None,
                  transcript_path: str | Path | None = None,
                  default_decode: DecodeParams | None = None,
                  ledger: CallLedger | None = None):
@@ -210,7 +217,6 @@ class Gateway:
         self.backoff_base = backoff_base
         self.max_calls = max_calls
         self.ledger = ledger or CallLedger()
-        self._inflight = threading.Semaphore(max_inflight)
         self._budget_lock = threading.Lock()
         self._calls_admitted = 0
         self._transcript_path = Path(transcript_path) if transcript_path else None
@@ -235,20 +241,19 @@ class Gateway:
                 raise BudgetExhaustedError(
                     f"call budget of {self.max_calls} exhausted")
             self._calls_admitted += 1
-        with self._inflight:
-            started = time.monotonic()
-            attempt = 0
-            while True:
-                try:
-                    response = backend.generate(prompt, decode)
-                    break
-                except TransientBackendError as exc:
-                    attempt += 1
-                    self.ledger.record_retry(role, template_id)
-                    if attempt > self.max_retries:
-                        raise TransportExhaustedError(
-                            f"{role.value}/{template_id}: {exc}") from exc
-                    time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+        started = time.monotonic()
+        attempt = 0
+        while True:
+            try:
+                response = backend.generate(prompt, decode)
+                break
+            except TransientBackendError as exc:
+                attempt += 1
+                self.ledger.record_retry(role, template_id)
+                if attempt > self.max_retries:
+                    raise TransportExhaustedError(
+                        f"{role.value}/{template_id}: {exc}") from exc
+                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
         self.ledger.record_call(role, template_id, prompt, response)
         self._log_transcript(role, template_id, prompt, response, started)
         return response
@@ -285,3 +290,31 @@ class Gateway:
         with self._transcript_lock:
             with self._transcript_path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def fan_out(pool: Executor, work: Callable[[T], R], items: Iterable[T],
+            ) -> list[R | TransportExhaustedError | ProtocolError]:
+    """``work(item)`` for every item on ``pool``; the results in item order.
+
+    A :class:`TransportExhaustedError` or :class:`ProtocolError` ends only
+    its own item and takes that item's place in the results. A
+    :class:`BudgetExhaustedError` is raised once every item has finished, so
+    that the caller saves a ledger no call is still adding to.
+    """
+    futures = [pool.submit(work, item) for item in items]
+    results: list[R | TransportExhaustedError | ProtocolError] = []
+    budget_error: BudgetExhaustedError | None = None
+    for future in futures:
+        try:
+            results.append(future.result())
+        except BudgetExhaustedError as exc:
+            budget_error = exc
+        except (TransportExhaustedError, ProtocolError) as exc:
+            results.append(exc)
+    if budget_error is not None:
+        raise budget_error
+    return results

@@ -307,10 +307,3 @@ def serialize_change_proposal(proposal: ChangeProposal) -> str:
     return json.dumps({"change_type": proposal.change_type,
                        "problem_summary": proposal.problem_summary,
                        "suggested_change": change}, ensure_ascii=False)
-
-
-def serialize_reviews(reviews: list[ReviewDecision]) -> str:
-    return json.dumps([
-        {"proposal_id": r.proposal_id, "decision": r.decision, "reasoning": r.reasoning}
-        for r in reviews
-    ], ensure_ascii=False)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from . import prompts, wire
 from .clustering import distill, embed_batch, k_medoids
 from .corpus import Item
-from .gateway import (AgentRole, BudgetExhaustedError, Gateway,
-                      TransportExhaustedError)
+from .gateway import AgentRole, Gateway, TransportExhaustedError, fan_out
 from .protocol import (APPROVED, CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY,
                        REJECTED, ChangeProposal,
                        ProtocolError, ReviewDecision, parse_categories,
@@ -189,7 +188,7 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
     rules_text = wire.rules_text(rules)
     known = {r.rule_id for r in rules}
 
-    def annotate(item: Item) -> tuple[str, list[str], str | None]:
+    def annotate(item: Item) -> tuple[list[str], str | None]:
         prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
             "rules_text": rules_text,
             "item_text": wire.item_line(item.item_id,
@@ -200,35 +199,25 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
             AgentRole.ANNOTATOR, prompt, prompts.ASSIGN_ITEM, parse_matched_rules)
         matched = sorted(set(m for m in matched if m in known))
         if matched:
-            return item.item_id, matched, None
-        return item.item_id, [], reason or "annotator returned no match"
+            return matched, None
+        return [], reason or "annotator returned no match"
 
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = fan_out(pool, annotate, items)
     assigned: dict[str, list[str]] = {}
     unassigned: set[str] = set()
     reports: list[ErrorReport] = []
-    results: dict[str, tuple[list[str], str | None]] = {}
-    budget_error: BudgetExhaustedError | None = None
-    with ThreadPoolExecutor(max_workers=max(1, min(parallelism, len(items)))) as pool:
-        futures = {pool.submit(annotate, item): item for item in items}
-        for future, item in futures.items():
-            try:
-                item_id, matched, reason = future.result()
-                results[item_id] = (matched, reason)
-            except BudgetExhaustedError as exc:
-                budget_error = exc
-            except TransportExhaustedError as exc:
-                results[item.item_id] = ([], f"transport failure: {exc}")
-            except ProtocolError as exc:
-                results[item.item_id] = ([], f"unparseable annotation: {exc}")
-    if budget_error is not None:
-        raise budget_error
-    for item_id in sorted(results):
-        matched, reason = results[item_id]
+    for item, result in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
+        if isinstance(result, TransportExhaustedError):
+            result = ([], f"transport failure: {result}")
+        elif isinstance(result, ProtocolError):
+            result = ([], f"unparseable annotation: {result}")
+        matched, reason = result
         if matched:
-            assigned[item_id] = matched
+            assigned[item.item_id] = matched
         else:
-            unassigned.add(item_id)
-            reports.append(ErrorReport(item_id=item_id, report_text=reason))
+            unassigned.add(item.item_id)
+            reports.append(ErrorReport(item_id=item.item_id, report_text=reason))
     return AssignOutcome(assigned=assigned, unassigned=unassigned,
                          reports=reports, n_items=len(items))
 

@@ -214,6 +214,8 @@ class BuildConfig:
             raise VocabularyError("coverage_break must be in (0, 1]")
         if self.branching_factor < 0:
             raise VocabularyError("branching_factor must be >= 0 (0 = unlimited)")
+        if self.parallelism < 1:
+            raise VocabularyError("parallelism must be >= 1")
 
     def anomaly_threshold(self, n_items: int) -> int:
         if self.tau_anom is not None:
@@ -221,7 +223,11 @@ class BuildConfig:
         return max(20, math.ceil(0.05 * n_items))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """Every field but ``parallelism``, which sets how many calls run at
+        once and not what the build produces."""
+        payload = asdict(self)
+        del payload["parallelism"]
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "BuildConfig":

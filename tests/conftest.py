@@ -32,6 +32,34 @@ class OutageBackend:
         return self.inner.generate(prompt, decode)
 
 
+class GarbageBackend:
+    """Wraps a backend; every prompt that ``hit`` accepts gets a reply that
+    holds no JSON, so no response parser accepts it."""
+
+    REPLY = "I would rather not say."
+
+    def __init__(self, inner, hit):
+        self.inner = inner
+        self.hit = hit
+
+    def generate(self, prompt, decode):
+        if self.hit(prompt):
+            return self.REPLY
+        return self.inner.generate(prompt, decode)
+
+
+def failing_items_gateway(world, down: str, garbled: str, **gateway_kwargs):
+    """A mock gateway on which every call about item ``down`` fails its
+    transport and every call about item ``garbled`` is answered with garbage."""
+    backend = MockLLMBackend(world.taxonomy, seed=0)
+    backend = OutageBackend(backend, lambda prompt: f"[{down}]" in prompt)
+    backend = GarbageBackend(backend, lambda prompt: f"[{garbled}]" in prompt)
+    gateway_kwargs.setdefault("max_retries", 1)
+    gateway_kwargs.setdefault("backoff_base", 0.0)
+    return Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend},
+                   **gateway_kwargs)
+
+
 @pytest.fixture(scope="session")
 def small_world():
     """3x3 taxonomy, 270 items: fast enough for per-module tests."""

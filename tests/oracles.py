@@ -1,13 +1,18 @@
-"""Slow reference implementations that tests compare the package against."""
+"""Slow reference implementations and exact inverses that tests compare the
+package against; the pipeline itself never calls them."""
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 
 from tagforge import clustering
+from tagforge.assignment import EOS, AssignmentError, AssignmentRecord, SemidTable
+from tagforge.decoding import SurrogateModel
+from tagforge.protocol import ReviewDecision
 
 
 def brute_force_medoids(vectors: np.ndarray, k: int) -> tuple[list[int], float]:
@@ -80,3 +85,45 @@ def reference_k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
     """``clustering.k_medoids`` with every descent run by the reference SWAP."""
     with mock.patch.object(clustering, "_swap_descent", reference_swap_descent):
         return clustering.k_medoids(vectors, k, seed=seed, **kwargs)
+
+
+def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
+                   table: SemidTable,
+                   allowed_level1: set[int] | None = None) -> list[tuple[str, float]]:
+    """Exhaustive scoring of every item's full sequence; oracle for
+    ``decoding.beam_decode``."""
+    scored = []
+    for row in table.rows:
+        if allowed_level1 is not None and row.tokens[0] not in allowed_level1:
+            continue
+        scored.append((row.item_id,
+                       model.score_sequence(history, list(row.tokens))))
+    scored.sort(key=lambda f: (-f[1], f[0]))
+    return scored
+
+
+def decode_semids(table: SemidTable) -> list[AssignmentRecord]:
+    """Invert ``assignment.export_semids``; exact round-trip."""
+    eos_token = table.token_of[f"special:{EOS}"]
+    records = []
+    for row in table.rows:
+        tokens = list(row.tokens)
+        if tokens and tokens[-1] == eos_token:
+            tokens = tokens[:-1]
+        if not tokens:
+            raise AssignmentError(f"{row.item_id}: empty token sequence")
+        resolver_name = table.token_map[tokens[-1]]
+        if not resolver_name.startswith("resolver:"):
+            raise AssignmentError(f"{row.item_id}: sequence lacks a resolver token")
+        path = tuple(table.token_map[t] for t in tokens[:-1])
+        records.append(AssignmentRecord(
+            item_id=row.item_id, path=path,
+            resolver=int(resolver_name.split(":", 1)[1])))
+    return records
+
+
+def serialize_reviews(reviews: list[ReviewDecision]) -> str:
+    return json.dumps([
+        {"proposal_id": r.proposal_id, "decision": r.decision, "reasoning": r.reasoning}
+        for r in reviews
+    ], ensure_ascii=False)

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from tagforge import prompts
-from tagforge.assignment import (AssignmentRecord, assign_paths, decode_semids,
-                                 export_semids, resolve_collisions, vocab_stats)
+from tagforge.assignment import (AssignmentRecord, assign_paths, export_semids,
+                                 resolve_collisions, vocab_stats)
 from tagforge.builder import BuildInterrupted, build_vocabulary, load_checkpoint
 from tagforge.clustering import HashingProvider, k_means, k_medoids
 from tagforge.corpus import SplitDataset, last_out_split
 from tagforge.decoding import (beam_decode, build_trie, encode_history,
-                               enumerate_rank, fit_surrogate, simulate_user)
+                               fit_surrogate, simulate_user)
 from tagforge.evalkit import coverage_deltas, evaluate_run, ndcg_at_k, recall_at_k, write_coverage_csv
 from tagforge.freeform import generate_freeform, tag_utilization
 from tagforge.gateway import AgentRole
@@ -32,7 +32,7 @@ from tagforge.planted import make_interactions, make_world
 from tagforge.vocab import BuildConfig, DescriptorNode, VocabularyTree
 
 from conftest import make_gateway
-from oracles import brute_force_medoids
+from oracles import brute_force_medoids, decode_semids, enumerate_rank
 
 
 @contextmanager

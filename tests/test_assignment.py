@@ -6,14 +6,15 @@ import pytest
 
 from tagforge import prompts
 from tagforge.assignment import (AssignmentError, AssignmentRecord, NONE_SLOT,
-                                 SPECIALS, assign_paths, decode_semids,
+                                 SPECIALS, assign_paths,
                                  export_fixed_slots, export_semids,
                                  resolve_collisions, vocab_stats)
 from tagforge.corpus import Corpus, Item
-from tagforge.gateway import AgentRole
+from tagforge.gateway import AgentRole, BudgetExhaustedError
 from tagforge.vocab import VocabularyTree, make_rule_id
 
-from conftest import make_gateway
+from conftest import failing_items_gateway, make_gateway
+from oracles import decode_semids
 
 
 def test_assign_paths_recovers_true_paths(small_semids):
@@ -48,6 +49,31 @@ def test_assign_paths_call_count_bounded_by_depth(small_build):
     depth = state.tree.max_depth()
     assert delta <= depth * len(corpus)
     assert delta == 2 * len(corpus)  # clean planted items descend both levels
+
+
+def test_assign_paths_per_item_failures_are_flagged(small_build):
+    world, state = small_build
+    corpus = Corpus(list(world.corpus)[:12])
+    down, garbled = corpus.item_ids[3], corpus.item_ids[7]
+    gateway = failing_items_gateway(world, down, garbled)
+    records = assign_paths(corpus, state.tree, gateway, parallelism=4)
+    assert [r.item_id for r in records] == sorted(corpus.item_ids)
+    by_id = {r.item_id: r for r in records}
+    assert (by_id[down].path, by_id[down].flag, by_id[down].terminated) == \
+        ((), "transport: annotator/AssignItem: HTTP 503", True)
+    assert (by_id[garbled].path, by_id[garbled].flag) == \
+        ((), "truncated: unparseable choice")
+    assert all(r.flag is None and len(r.path) == 2 for r in records
+               if r.item_id not in (down, garbled))
+
+
+def test_assign_paths_budget_raises_after_exact_budget(small_build):
+    world, state = small_build
+    corpus = Corpus(list(world.corpus)[:30])
+    gateway = make_gateway(world, max_calls=25)
+    with pytest.raises(BudgetExhaustedError):
+        assign_paths(corpus, state.tree, gateway, parallelism=4)
+    assert gateway.ledger.total_calls() == 25
 
 
 def test_one_shot_mode_matches_per_level(small_build):

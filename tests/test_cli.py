@@ -171,6 +171,39 @@ def test_budget_exit_keeps_ledger_and_leaves_stage_unmarked(
     assert stage in read_json(manifest)
 
 
+def test_parallelism_change_reissues_no_call(tmp_path, capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world, parallelism=8)
+    ledger = tmp_path / "run/ledger.jsonl"
+    for stage in ("build-vocab", "assign"):
+        assert dispatch([stage, "--config", str(config_path)]) == 0, stage
+    before = ledger.read_bytes()
+    capsys.readouterr()
+    for stage in ("build-vocab", "assign"):
+        assert dispatch([stage, "--config", str(config_path),
+                         "--parallelism", "4"]) == 0, stage
+        assert capsys.readouterr().out == f"{stage}: up to date, skipping\n"
+    assert ledger.read_bytes() == before
+    assert "parallelism" not in read_json(tmp_path / "run/vocab.json")["config"]
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("stage", ["build-vocab", "assign"])
+def test_parallelism_below_one_is_config_error(tmp_path, capsys, small_build,
+                                               source, stage):
+    world, state = small_build
+    config_path = _mock_config(tmp_path, world,
+                               **({"parallelism": 0} if source == "config" else {}))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    flag = ["--parallelism", "-2"] if source == "flag" else []
+    assert dispatch([stage, "--config", str(config_path), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:config:") and "parallelism" in err
+    assert not (run_dir / "ledger.jsonl").exists()
+
+
 def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
                                                        capsys):
     world = make_world(branching=(3, 3), n_items=150, seed=7)

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from tagforge.assignment import AssignmentRecord, SemidRow, SemidTable, export_semids, resolve_collisions
 from tagforge.corpus import SplitDataset
 from tagforge.decoding import (DecodingError, SurrogateModel, beam_decode,
-                               build_trie, encode_history, enumerate_rank,
+                               build_trie, encode_history,
                                fit_surrogate, simulate_user, user_stream)
 from tagforge.planted import make_interactions
 from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import make_gateway
+from oracles import enumerate_rank
 
 
 def tiny_table() -> SemidTable:

@@ -8,11 +8,13 @@ import statistics
 import pytest
 
 from tagforge.corpus import SplitDataset, last_out_split
-from tagforge.decoding import build_trie, encode_history, enumerate_rank, fit_surrogate
+from tagforge.decoding import build_trie, encode_history, fit_surrogate
 from tagforge.evalkit import (EvalError, coverage_deltas, evaluate_run,
                               ndcg_at_k, recall_at_k, write_coverage_csv)
 from tagforge.planted import make_interactions
 from tagforge.refinement import CycleRecord, RefinementLog
+
+from oracles import enumerate_rank
 
 
 def test_target_at_rank_one():

@@ -6,8 +6,10 @@ from tagforge.freeform import (FreeformError, FreeformTagTable,
                                frequency_bins, generate_freeform,
                                prune_frequency_bins, prune_kmeans,
                                pruned_to_semid_rows, tag_utilization)
+from tagforge.gateway import BudgetExhaustedError
+from tagforge.planted import make_world
 
-from conftest import make_gateway
+from conftest import failing_items_gateway, make_gateway
 
 
 def test_generate_freeform_mock_explodes_vocabulary(small_world):
@@ -24,6 +26,26 @@ def test_generate_freeform_deterministic(small_world):
     t2 = generate_freeform(small_world.corpus, make_gateway(small_world))
     assert t1.tags_by_item == t2.tags_by_item
     assert t1.frequency == t2.frequency
+
+
+def test_generate_freeform_counts_failed_items():
+    world = make_world(branching=(3,), n_items=30, seed=5)
+    down, garbled = world.corpus.item_ids[3], world.corpus.item_ids[7]
+    gateway = failing_items_gateway(world, down, garbled)
+    table = generate_freeform(world.corpus, gateway, parallelism=4)
+    assert table.n_failed_items == 2
+    assert list(table.tags_by_item) == sorted(world.corpus.item_ids)
+    assert table.tags_by_item[down] == table.tags_by_item[garbled] == []
+    assert all(tags for item_id, tags in table.tags_by_item.items()
+               if item_id not in (down, garbled))
+
+
+def test_generate_freeform_budget_raises_after_exact_budget():
+    world = make_world(branching=(3,), n_items=30, seed=5)
+    gateway = make_gateway(world, max_calls=13)
+    with pytest.raises(BudgetExhaustedError):
+        generate_freeform(world.corpus, gateway, parallelism=4)
+    assert gateway.ledger.total_calls() == 13
 
 
 def _table(freqs: dict[str, int], items: dict[str, list[str]] | None = None):

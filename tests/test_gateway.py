@@ -6,7 +6,8 @@ import pytest
 
 from tagforge.gateway import (AgentRole, BudgetExhaustedError, CallLedger,
                               DecodeParams, Gateway, HttpBackend,
-                              TransientBackendError, TransportExhaustedError)
+                              TransientBackendError, TransportExhaustedError,
+                              fan_out)
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_world
 from tagforge.protocol import ProtocolError, parse_keywords
@@ -138,12 +139,15 @@ def test_transcript_written(tmp_path):
     assert rows[0]["response"] == "ok:5"
 
 
-def test_max_inflight_bounds_concurrency():
+def test_parallelism_caps_calls_in_flight():
     import threading
     import time
 
+    from tagforge.freeform import generate_freeform
+
     class SlowBackend:
-        def __init__(self):
+        def __init__(self, inner):
+            self.inner = inner
             self.lock = threading.Lock()
             self.active = 0
             self.peak = 0
@@ -152,22 +156,54 @@ def test_max_inflight_bounds_concurrency():
             with self.lock:
                 self.active += 1
                 self.peak = max(self.peak, self.active)
-            time.sleep(0.01)
+            time.sleep(0.02)
             with self.lock:
                 self.active -= 1
-            return "ok"
+            return self.inner.generate(prompt, decode)
 
-    backend = SlowBackend()
-    gateway = _gateway(backend, max_inflight=3)
+    world = make_world(branching=(3,), n_items=24, seed=1)
+    backend = SlowBackend(MockLLMBackend(world.taxonomy, seed=0))
+    gateway = _gateway(backend)
+    table = generate_freeform(world.corpus, gateway, parallelism=3)
+    assert table.n_failed_items == 0
+    assert backend.peak == 3
+    assert gateway.ledger.total_calls() == 24
+
+
+def test_fan_out_keeps_item_order_and_per_item_failures():
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=12) as pool:
-        futures = [pool.submit(gateway.complete, AgentRole.ANNOTATOR,
-                               f"p{i}", "AssignItem") for i in range(24)]
-        for f in futures:
-            f.result()
-    assert backend.peak <= 3
-    assert gateway.ledger.total_calls() == 24
+    def work(i):
+        if i == 2:
+            raise TransportExhaustedError("down")
+        if i == 4:
+            raise ProtocolError("garbled")
+        return i * 10
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        results = fan_out(pool, work, range(6))
+    assert [r if isinstance(r, int) else str(r) for r in results] == \
+        [0, 10, "down", 30, "garbled", 50]
+
+
+def test_fan_out_raises_budget_after_every_item_finished():
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = []
+    lock = threading.Lock()
+
+    def work(i):
+        if i == 0:
+            raise BudgetExhaustedError("spent")
+        with lock:
+            done.append(i)
+        return i
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(BudgetExhaustedError, match="spent"):
+            fan_out(pool, work, range(8))
+        assert sorted(done) == list(range(1, 8))
 
 
 def test_ledger_save_load_round_trip(tmp_path):

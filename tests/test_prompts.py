@@ -13,7 +13,9 @@ from tagforge.protocol import (APPROVED, CREATE_NEW_CATEGORY,
                                ReviewDecision, parse_categories,
                                parse_change_proposal, parse_matched_rules,
                                parse_reviews, serialize_categories,
-                               serialize_change_proposal, serialize_reviews)
+                               serialize_change_proposal)
+
+from oracles import serialize_reviews
 
 # The appendix EXPAND example, used verbatim in a couple of tests.
 GOOD_EXPAND = json.dumps({

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tagforge import prompts
-from tagforge.gateway import AgentRole, Gateway
+from tagforge.gateway import AgentRole, BudgetExhaustedError, Gateway
 from tagforge.mockllm import MockLLMBackend, category_description
 from tagforge.planted import make_world
 from tagforge.protocol import (APPROVED, CREATE_NEW_CATEGORY,
@@ -16,7 +16,7 @@ from tagforge.refinement import (RefinementError, init_vocabulary,
                                  review_and_apply)
 from tagforge.vocab import BuildConfig, DescriptorNode, VocabularyTree
 
-from conftest import make_gateway
+from conftest import failing_items_gateway, make_gateway
 
 
 class RecordingBackend:
@@ -124,6 +124,33 @@ def test_parallel_assign_ledger_counts_items(small_world):
     parallel_assign(items, rules, gateway, parallelism=4)
     after = gateway.ledger.calls(AgentRole.ANNOTATOR, prompts.ASSIGN_ITEM)
     assert after - before == 200
+
+
+def test_parallel_assign_per_item_failures_become_reports():
+    world = make_world(branching=(3,), n_items=30, seed=5)
+    tree = fresh_tree(world)
+    rules = level1_nodes(world, tree)
+    items = list(world.corpus)
+    down, garbled = items[3].item_id, items[7].item_id
+    gateway = failing_items_gateway(world, down, garbled)
+    outcome = parallel_assign(items, rules, gateway, parallelism=4)
+    assert set(outcome.assigned) == {i.item_id for i in items} - {down, garbled}
+    assert outcome.unassigned == {down, garbled}
+    assert {r.item_id: r.report_text for r in outcome.reports} == {
+        down: "transport failure: annotator/AssignItem: HTTP 503",
+        garbled: "unparseable annotation: annotator/AssignItem: unparseable "
+                 "after 2 re-asks: no JSON object or array found in response",
+    }
+
+
+def test_parallel_assign_budget_raises_after_exact_budget():
+    world = make_world(branching=(3,), n_items=30, seed=5)
+    tree = fresh_tree(world)
+    rules = level1_nodes(world, tree)
+    gateway = make_gateway(world, max_calls=11)
+    with pytest.raises(BudgetExhaustedError):
+        parallel_assign(list(world.corpus), rules, gateway, parallelism=4)
+    assert gateway.ledger.total_calls() == 11
 
 
 def test_propose_changes_single_missing_category(provider):

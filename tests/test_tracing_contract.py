@@ -1,0 +1,52 @@
+"""The benchmark's tracer gives a span opened in a pool thread the call that
+submitted the work as its parent, by swapping the ``ThreadPoolExecutor`` name
+in each module that fans out per-item calls. This checks that every batch
+still opens its pool through that name, so that every gateway call made by
+a batch is traced under the batch's span."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from tagforge import assignment, freeform, refinement
+from tagforge.mockllm import category_description
+from tagforge.planted import make_world
+from tagforge.vocab import DescriptorNode, VocabularyTree
+
+from conftest import make_gateway
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_batch_call_is_traced_under_its_batch():
+    tracing = _load_tracing()
+    world = make_world(branching=(3,), n_items=60, seed=5)
+    tree = VocabularyTree(root_items=set(world.corpus.item_ids))
+    for name in world.taxonomy.level1:
+        tree.add_child(tree.root_id, DescriptorNode(
+            rule_id=tree.fresh_rule_id(tree.root_id, name), name=name,
+            description=category_description(name), parent=tree.root_id,
+            depth=1))
+    items = list(world.corpus)
+    gateway = make_gateway(world)
+    tracer = tracing.Tracer(trace_id="contract")
+    with tracing.installed(tracer):
+        refinement.parallel_assign(items, tree.children_of(tree.root_id),
+                                   gateway, parallelism=4)
+        assignment.assign_paths(world.corpus, tree, gateway, parallelism=4)
+        freeform.generate_freeform(world.corpus, gateway, parallelism=4)
+    spans = tracing.SpanTree(tracer.spans)
+    assert len(spans.named("gateway.complete")) == 180
+    for batch in ("refinement.parallel_assign", "assignment.assign_paths",
+                  "freeform.generate_freeform"):
+        assert spans.under("gateway.complete", batch) == 60, batch

@@ -83,6 +83,15 @@ def test_build_config_validation():
         BuildConfig(coverage_break=0.0)
     with pytest.raises(VocabularyError):
         BuildConfig(branching_factor=-1)
+    with pytest.raises(VocabularyError, match="parallelism"):
+        BuildConfig(parallelism=0)
+
+
+def test_build_config_json_leaves_out_parallelism():
+    config = BuildConfig.from_json({"parallelism": 2, "seed": 3})
+    assert config.parallelism == 2
+    assert "parallelism" not in config.to_json()
+    assert BuildConfig.from_json(config.to_json()) == BuildConfig(seed=3)
 
 
 def test_build_config_rejects_unknown_keys():
