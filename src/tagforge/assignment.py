@@ -1,8 +1,9 @@
 """Final vocabulary assignment and semantic-ID export.
 
 Each item gets one descriptor per level via a greedy descent (one annotator
-call per visited level), or a single whole-vocabulary call in one-shot
-mode. Items sharing a path receive collision-resolver ranks so that
+call per visited level, unless the build's annotators already matched the
+item to exactly one child there), or a single whole-vocabulary call in
+one-shot mode. Items sharing a path receive collision-resolver ranks so that
 (path, resolver) is a bijection onto items, and the result exports both as
 token sequences and as fixed-slot categorical features.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import prompts, wire
 from .corpus import Corpus
@@ -27,6 +30,10 @@ SEP = "<sep>"
 SPECIALS = (BOS, EOS, SEP)
 
 NONE_SLOT = "NONE"
+
+
+# What the build's annotators matched: node rule id -> item id -> children.
+Annotations = Mapping[str, Mapping[str, Sequence[str]]]
 
 
 class AssignmentError(ValueError):
@@ -83,18 +90,23 @@ class VocabStats:
 
 def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
                  parallelism: int = 8, mode: str = "per-level",
-                 item_text_budget: int = 1500) -> list[AssignmentRecord]:
+                 item_text_budget: int = 1500,
+                 annotations: Annotations | None = None) -> list[AssignmentRecord]:
     """Assign a descriptor path to every item (resolver left unset).
 
     ``per-level`` descends greedily, presenting only the current node's
-    children and asking for the single best child or STOP. ``one-shot``
-    presents the whole vocabulary once and asks for a complete path.
-    Per-item failures yield an empty or truncated path with a flag; only an
-    exhausted call budget stops the batch (see :func:`gateway.fan_out`).
+    children and asking for the single best child or STOP. Where the build's
+    ``annotations`` (node -> item -> matched children) name exactly one
+    child for this item at this node, the descent takes it without a call.
+    ``one-shot`` presents the whole vocabulary once and asks for a complete
+    path. Per-item failures yield an empty or truncated path with a flag;
+    only an exhausted call budget stops the batch (see
+    :func:`gateway.fan_out`).
     """
     if mode not in ("per-level", "one-shot"):
         raise AssignmentError(f"unknown assignment mode {mode!r}")
-    worker = _descend if mode == "per-level" else _one_shot
+    worker = (partial(_descend, annotations=annotations or {})
+              if mode == "per-level" else _one_shot)
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         results = fan_out(pool, lambda item: worker(item, tree, gateway,
@@ -110,8 +122,8 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     return records
 
 
-def _descend(item, tree: VocabularyTree, gateway: Gateway,
-             budget: int) -> AssignmentRecord:
+def _descend(item, tree: VocabularyTree, gateway: Gateway, budget: int,
+             annotations: Annotations) -> AssignmentRecord:
     node = tree.root
     path: list[str] = []
     flag = None
@@ -119,17 +131,21 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway,
         children = tree.children_of(node.rule_id)
         if not children:
             break
-        prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-            "rules_text": wire.rules_text(children),
-            "item_text": wire.item_line(item.item_id, item.prompt_text(budget)),
-            "instruction": prompts.ASSIGN_BEST_INSTRUCTION,
-        })
-        try:
-            choice = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,
-                                             prompts.ASSIGN_ITEM, parse_best_rule)
-        except ProtocolError:
-            flag = "truncated: unparseable choice"
-            break
+        matched = annotations.get(node.rule_id, {}).get(item.item_id, ())
+        if len(matched) == 1:
+            choice = matched[0]
+        else:
+            prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
+                "rules_text": wire.rules_text(children),
+                "item_text": wire.item_line(item.item_id, item.prompt_text(budget)),
+                "instruction": prompts.ASSIGN_BEST_INSTRUCTION,
+            })
+            try:
+                choice = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,
+                                                 prompts.ASSIGN_ITEM, parse_best_rule)
+            except ProtocolError:
+                flag = "truncated: unparseable choice"
+                break
         if choice == STOP:
             break
         child = next((c for c in children if c.rule_id == choice), None)

@@ -47,11 +47,16 @@ class BuildReport:
 
 @dataclass
 class BuildState:
+    """``annotations`` maps a refined node to the annotators' matched
+    children per item, kept only where that round saw the committed
+    children (see :func:`_commit`)."""
+
     tree: VocabularyTree
     completed: set[str]
     logs: list[RefinementLog]
     report: BuildReport
     ledger_snapshot: dict | None = None
+    annotations: dict[str, dict[str, list[str]]] = field(default_factory=dict)
 
 
 def branch_items(assignments: dict[str, list[str]], branching_factor: int,
@@ -87,6 +92,7 @@ def save_checkpoint(path: str | Path, state: BuildState,
         "logs": [log.to_json() for log in state.logs],
         "report": state.report.to_json(),
         "ledger": ledger.snapshot() if ledger is not None else None,
+        "annotations": state.annotations,
     }
     write_json(path, payload)
 
@@ -104,7 +110,8 @@ def load_checkpoint(path: str | Path) -> BuildState:
     logs = [log_from_json(row) for row in payload.get("logs", [])]
     return BuildState(tree=tree, completed=set(payload["completed"]),
                       logs=logs, report=report,
-                      ledger_snapshot=payload.get("ledger"))
+                      ledger_snapshot=payload.get("ledger"),
+                      annotations=payload.get("annotations", {}))
 
 
 def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
@@ -172,6 +179,11 @@ def _commit(tree: VocabularyTree, parent: DescriptorNode, result,
         node.items = routed.get(node.rule_id, set())
         tree.add_child(parent.rule_id, node)
         covered |= node.items
+    # The last round's answers stand for the committed children only if
+    # no review changed them after it.
+    if outcome and outcome.rules == {n.rule_id: n.description
+                                     for n in result.children}:
+        state.annotations[parent.rule_id] = outcome.assigned
     if len(result.children) == 1:
         state.report.degenerate_splits.append(parent.rule_id)
     if result.parent_status is not None:

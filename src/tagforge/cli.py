@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -90,11 +92,17 @@ class RunConfig:
             payload = read_json(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError("config", f"cannot read config {path}: {exc}", 2)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        hints = typing.get_type_hints(cls)
+        unknown = set(payload) - set(hints)
         if unknown:
             raise CliError("config",
                            f"unknown config keys: {', '.join(sorted(unknown))}", 2)
+        for key, value in sorted(payload.items()):
+            hint = hints[key]
+            if not _has_type(value, hint):
+                name = hint.__name__ if type(hint) is type else str(hint)
+                raise CliError("config", f"config key {key!r} must be {name}, "
+                               f"got {value!r}", 2)
         return cls(**payload)
 
     def build_config(self, args: argparse.Namespace) -> BuildConfig:
@@ -113,6 +121,21 @@ class RunConfig:
         if getattr(args, "parallelism", None) is not None:
             cfg.parallelism = args.parallelism
         return cfg
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation (an int fits a float;
+    a bool is not an int)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if hint is float:
+        hint = (int, float)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, origin or hint)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -231,6 +254,7 @@ def run_stage(stage: Stage, run: StageRun) -> int:
     finally:
         if run.made_gateway is not None:
             run.made_gateway.ledger.save_jsonl(run.paths.ledger)
+            run.made_gateway.close()
     mark_stage(run.paths, stage.name, digest, outputs)
     print(summary)
     return 0
@@ -320,7 +344,8 @@ def _ingest(run: StageRun) -> str:
         lambda run: (_corpus_source(run), run.cfg.build_config(run.args).to_json(),
                      *_backend_parts(run.cfg)),
         lambda run: [run.paths.vocab, run.paths.vocab_items,
-                     run.paths.refinement_logs, run.paths.build_report])
+                     run.paths.annotations, run.paths.refinement_logs,
+                     run.paths.build_report])
 def _build_vocab(run: StageRun) -> str:
     cfg, paths, args = run.cfg, run.paths, run.args
     corpus = load_corpus(_corpus_source(run))
@@ -336,6 +361,10 @@ def _build_vocab(run: StageRun) -> str:
                              _provider(cfg), checkpoint_path=paths.checkpoint,
                              resume_state=resume_state)
     state.tree.save(paths.vocab, paths.vocab_items)
+    write_jsonl(paths.annotations,
+                ({"rule_id": rule_id, "matched": matched}
+                 for rule_id, matched in sorted(state.annotations.items())),
+                sort_keys=True)
     write_jsonl(paths.refinement_logs, (log.to_json() for log in state.logs),
                 sort_keys=True)
     report = state.report.to_json()
@@ -347,16 +376,20 @@ def _build_vocab(run: StageRun) -> str:
 
 
 @_stage("assign",
-        lambda run: (run.paths.vocab, _corpus_source(run), run.cfg.assign_mode,
-                     *_backend_parts(run.cfg), run.cfg.seed),
+        lambda run: (run.paths.vocab, run.paths.annotations, _corpus_source(run),
+                     run.cfg.assign_mode, *_backend_parts(run.cfg), run.cfg.seed),
         lambda run: [run.paths.assignments])
 def _assign(run: StageRun) -> str:
+    paths = run.paths
     corpus = load_corpus(_corpus_source(run))
-    records = asg.assign_paths(corpus, _load_tree(run.paths), run.gateway,
+    annotations = ({row["rule_id"]: row["matched"]
+                    for row in read_jsonl(paths.annotations)}
+                   if paths.annotations.exists() else {})
+    records = asg.assign_paths(corpus, _load_tree(paths), run.gateway,
                                parallelism=run.cfg.parallelism,
-                               mode=run.cfg.assign_mode)
+                               mode=run.cfg.assign_mode, annotations=annotations)
     records = asg.resolve_collisions(records)
-    write_jsonl(run.paths.assignments, (rec.to_json() for rec in records))
+    write_jsonl(paths.assignments, (rec.to_json() for rec in records))
     flagged = sum(1 for r in records if r.flag)
     return f"assign: {len(records)} items, {flagged} flagged"
 

@@ -54,14 +54,6 @@ class DescriptorTrie:
         node.item_id = item_id
         self.n_terminals += 1
 
-    def lookup(self, tokens: list[int]) -> str | None:
-        node = self.root
-        for token in tokens:
-            node = node.children.get(token)
-            if node is None:
-                return None
-        return node.item_id
-
     def level1_tokens(self) -> set[int]:
         return set(self.root.children)
 

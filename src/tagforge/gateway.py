@@ -2,7 +2,8 @@
 
 A :class:`Gateway` owns one backend per role, a thread-safe call ledger, a
 retry policy for transient transport failures, an optional global call
-budget, and an optional transcript log. ``complete_parsed`` layers the
+budget, and an optional transcript log, opened on the first call and kept
+open until :meth:`Gateway.close`. ``complete_parsed`` layers the
 re-ask policy for malformed responses on top. :func:`fan_out` runs one
 batch of per-item calls on a caller's pool, whose width (``parallelism``)
 is the one cap on calls in flight.
@@ -19,7 +20,7 @@ import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TextIO, TypeVar
 
 import requests
 
@@ -96,9 +97,6 @@ class CallLedger:
                 if (role is None or r == role.value)
                 and (template_id is None or t == template_id)
             )
-
-    def total_calls(self) -> int:
-        return self.calls()
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         with self._lock:
@@ -221,6 +219,7 @@ class Gateway:
         self._calls_admitted = 0
         self._transcript_path = Path(transcript_path) if transcript_path else None
         self._transcript_lock = threading.Lock()
+        self._transcript: TextIO | None = None
         self._default_decode = default_decode or DecodeParams()
 
     def complete(self, role: AgentRole, prompt: str, template_id: str,
@@ -287,9 +286,20 @@ class Gateway:
             "response": response,
             "latency_ms": round((time.monotonic() - started) * 1000, 3),
         }
+        line = json.dumps(row, ensure_ascii=False) + "\n"
         with self._transcript_lock:
-            with self._transcript_path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            if self._transcript is None:
+                self._transcript = self._transcript_path.open("a", encoding="utf-8")
+            self._transcript.write(line)
+            # Flushed per line: a killed process loses at most this line.
+            self._transcript.flush()
+
+    def close(self) -> None:
+        """Close the transcript; idempotent. A later call reopens it."""
+        with self._transcript_lock:
+            if self._transcript is not None:
+                self._transcript.close()
+                self._transcript = None
 
 
 T = TypeVar("T")

@@ -40,10 +40,14 @@ class ErrorReport:
 
 @dataclass
 class AssignOutcome:
+    """One annotation round; ``rules`` maps each rule id to the description
+    the annotators saw, so a caller can tell whether it is still current."""
+
     assigned: dict[str, list[str]]
     unassigned: set[str]
     reports: list[ErrorReport]
     n_items: int
+    rules: dict[str, str]
 
     @property
     def coverage(self) -> float:
@@ -219,7 +223,8 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
             unassigned.add(item.item_id)
             reports.append(ErrorReport(item_id=item.item_id, report_text=reason))
     return AssignOutcome(assigned=assigned, unassigned=unassigned,
-                         reports=reports, n_items=len(items))
+                         reports=reports, n_items=len(items),
+                         rules={r.rule_id: r.description for r in rules})
 
 
 def propose_changes(reports: list[ErrorReport], rules: list[DescriptorNode],

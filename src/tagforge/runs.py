@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,8 @@ class RunPaths:
     def vocab(self) -> Path: return self.root / "vocab.json"
     @property
     def vocab_items(self) -> Path: return self.root / "vocab_items.jsonl"
+    @property
+    def annotations(self) -> Path: return self.root / "annotations.jsonl"
     @property
     def checkpoint(self) -> Path: return self.root / "vocab.checkpoint.json"
     @property
@@ -153,7 +156,9 @@ def mark_stage(paths: RunPaths, stage: str, digest: str,
 
 
 class RunLock:
-    """Exclusive-create lock file; one pipeline stage per run dir at a time."""
+    """Exclusive-create lock file holding the writer's PID; one pipeline
+    stage per run dir at a time. A lock whose PID names no running process
+    is stale: it is taken over, with a note on stderr."""
 
     def __init__(self, paths: RunPaths):
         self._path = paths.lock
@@ -163,13 +168,31 @@ class RunLock:
         try:
             fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RunDirError(
-                f"run directory is locked by another process ({self._path}); "
-                "remove the lock file if that process is gone") from None
+            pid = self._stale_pid()
+            if pid is None:
+                raise RunDirError(
+                    f"run directory is locked by another process ({self._path}); "
+                    "remove the lock file if that process is gone") from None
+            print(f"WARN:stale-lock: taking over {self._path} "
+                  f"(pid {pid} is not running)", file=sys.stderr)
+            self._path.unlink(missing_ok=True)
+            return self.__enter__()
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         self._held = True
         return self
+
+    def _stale_pid(self) -> int | None:
+        """The lock's PID if no process by that PID is running, else None
+        (also when the file cannot be read or holds no PID)."""
+        try:
+            pid = int(self._path.read_text(encoding="utf-8").strip())
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except (OSError, ValueError):
+            return None
+        return None
 
     def __exit__(self, *exc_info) -> None:
         if self._held:

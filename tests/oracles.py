@@ -11,7 +11,7 @@ import numpy as np
 
 from tagforge import clustering
 from tagforge.assignment import EOS, AssignmentError, AssignmentRecord, SemidTable
-from tagforge.decoding import SurrogateModel
+from tagforge.decoding import DescriptorTrie, SurrogateModel
 from tagforge.protocol import ReviewDecision
 
 
@@ -127,3 +127,13 @@ def serialize_reviews(reviews: list[ReviewDecision]) -> str:
         {"proposal_id": r.proposal_id, "decision": r.decision, "reasoning": r.reasoning}
         for r in reviews
     ], ensure_ascii=False)
+
+
+def trie_lookup(trie: DescriptorTrie, tokens: list[int]) -> str | None:
+    """The item whose full sequence is ``tokens``, or None."""
+    node = trie.root
+    for token in tokens:
+        node = node.children.get(token)
+        if node is None:
+            return None
+    return node.item_id

@@ -330,7 +330,7 @@ def test_criterion_10_resumability(tmp_path):
         reference = build_vocabulary(world.corpus, config, reference_gateway,
                                      provider)
         reference_tree = json.dumps(reference.tree.to_json(), sort_keys=True)
-        reference_calls = reference_gateway.ledger.total_calls()
+        reference_calls = reference_gateway.ledger.calls()
 
         ckpt = tmp_path / "ckpt.json"
         limited = make_gateway(world, max_calls=300)
@@ -348,6 +348,6 @@ def test_criterion_10_resumability(tmp_path):
         assert len(refined) == len(set(refined))
         assert set(refined) == set(reference.report.nodes_refined)
         # Ledger audit: the resumed run never re-annotates completed nodes.
-        assert resumed_gateway.ledger.total_calls() < reference_calls
+        assert resumed_gateway.ledger.calls() < reference_calls
         assert json.dumps(state2.tree.to_json(), sort_keys=True) == \
             reference_tree

@@ -73,7 +73,7 @@ def test_assign_paths_budget_raises_after_exact_budget(small_build):
     gateway = make_gateway(world, max_calls=25)
     with pytest.raises(BudgetExhaustedError):
         assign_paths(corpus, state.tree, gateway, parallelism=4)
-    assert gateway.ledger.total_calls() == 25
+    assert gateway.ledger.calls() == 25
 
 
 def test_one_shot_mode_matches_per_level(small_build):

@@ -22,7 +22,7 @@ def test_small_corpus_below_threshold_builds_root_only(provider):
     state = build_vocabulary(world.corpus, config, gateway, provider)
     assert len(state.tree.nodes) == 1
     assert gateway.ledger.calls(AgentRole.ARCHITECT) == 0
-    assert gateway.ledger.total_calls() == 0
+    assert gateway.ledger.calls() == 0
 
 
 def test_planted_recovery_two_levels(small_world, provider):
@@ -151,7 +151,7 @@ def test_interrupt_and_resume_no_duplicate_refinements(tmp_path, provider):
 
     full_gateway = make_gateway(world)
     full_state = build_vocabulary(world.corpus, config, full_gateway, provider)
-    full_calls = full_gateway.ledger.total_calls()
+    full_calls = full_gateway.ledger.calls()
     full_tree = json.dumps(full_state.tree.to_json(), sort_keys=True)
 
     ckpt = tmp_path / "ckpt.json"
@@ -174,7 +174,7 @@ def test_interrupt_and_resume_no_duplicate_refinements(tmp_path, provider):
     assert final_nodes[:len(run1_nodes)] == run1_nodes
     assert set(final_nodes) == set(full_state.report.nodes_refined)
     # The resumed run re-does at most the interrupted node, never finished ones.
-    resumed_calls = resumed_gateway.ledger.total_calls()
+    resumed_calls = resumed_gateway.ledger.calls()
     assert resumed_calls < full_calls
     assert json.dumps(state2.tree.to_json(), sort_keys=True) == full_tree
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import socket
 import subprocess
@@ -149,6 +150,42 @@ def test_budget_interrupt_then_resume(tmp_path):
     assert max(depths) == 2
 
 
+def _assign_calls(run_dir) -> int:
+    return sum(row["calls"] for row in read_jsonl(run_dir / "ledger.jsonl")
+               if row["template_id"] == "AssignItem")
+
+
+def test_resumed_build_writes_the_uninterrupted_annotations(tmp_path):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "split").mkdir()
+    whole = _mock_config(tmp_path / "whole", world)
+    assert dispatch(["build-vocab", "--config", str(whole)]) == 0
+    split = _mock_config(tmp_path / "split", world)
+    assert dispatch(["build-vocab", "--config", str(split),
+                     "--budget-max-calls", "170"]) == 3
+    assert dispatch(["resume", "--config", str(split)]) == 0
+    expected = (tmp_path / "whole/run/annotations.jsonl").read_bytes()
+    assert (tmp_path / "split/run/annotations.jsonl").read_bytes() == expected
+    # root + 3 level-1 nodes, and assign then asks nothing
+    assert len(expected.splitlines()) == 4
+    built = _assign_calls(tmp_path / "split/run")
+    assert dispatch(["assign", "--config", str(split)]) == 0
+    assert _assign_calls(tmp_path / "split/run") == built
+
+
+def test_assign_without_annotations_asks_every_level(tmp_path, small_build):
+    world, state = small_build
+    config_path = _mock_config(tmp_path, world)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    assert dispatch(["assign", "--config", str(config_path)]) == 0
+    assert _assign_calls(run_dir) == len(world.corpus) * state.tree.max_depth()
+    assert len(list(read_jsonl(run_dir / "transcript.jsonl"))) == \
+        _assign_calls(run_dir)
+
+
 @pytest.mark.parametrize("stage", ["assign", "baseline-freeform"])
 def test_budget_exit_keeps_ledger_and_leaves_stage_unmarked(
         tmp_path, capsys, small_build, stage):
@@ -239,7 +276,7 @@ def test_locked_run_keeps_config_snapshot(workspace, tmp_path, capsys):
     other_path = tmp_path / "other.json"
     other_path.write_text(json.dumps(other))
     lock = root / "run" / ".lock"
-    lock.write_text("12345")
+    lock.write_text(str(os.getpid()))
     try:
         assert run(other_path, "evaluate") == 4
         assert capsys.readouterr().err.startswith("ERR:locked:")
@@ -275,7 +312,7 @@ def test_full_rank_cutoff_above_beam_width_is_config_error(workspace, tmp_path,
 def test_lock_file_blocks_second_writer(workspace, capsys):
     root, config_path, _ = workspace
     lock = root / "run" / ".lock"
-    lock.write_text("12345")
+    lock.write_text(str(os.getpid()))
     try:
         code = run(config_path, "report")
         captured = capsys.readouterr()
@@ -283,6 +320,46 @@ def test_lock_file_blocks_second_writer(workspace, capsys):
         assert captured.err.startswith("ERR:locked:")
     finally:
         lock.unlink()
+
+
+def test_stale_lock_is_taken_over(workspace, capsys):
+    root, config_path, _ = workspace
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = root / "run" / ".lock"
+    lock.write_text(str(child.pid))
+    code = run(config_path, "report")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("WARN:stale-lock:")
+    assert f"pid {child.pid} is not running" in captured.err
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("key, value", [("parallelism", "4"),
+                                        ("beam_width", "20"),
+                                        ("eval_ks", [5, "10"]),
+                                        ("strict_ingest", 1)])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
+    run_dir = tmp_path / "r"
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"run_dir": str(run_dir), key: value}))
+    code = dispatch(["report", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"ERR:config: config key {key!r} must be")
+    # Rejected before the run directory, its lock or config.json is made.
+    assert not run_dir.exists()
+
+
+def test_config_accepts_null_for_optional_fields(tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "run_dir": str(tmp_path / "r"), "n_slots": None, "budget_max_calls": None,
+        "corpus_path": None, "freeform_kmeans_k": None, "surrogate_alpha": 1}))
+    assert dispatch(["report", "--config", str(config_path)]) == 0
+    snapshot = read_json(tmp_path / "r/config.json")
+    assert snapshot["n_slots"] is None and snapshot["surrogate_alpha"] == 1
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

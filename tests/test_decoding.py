@@ -17,7 +17,7 @@ from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import make_gateway
-from oracles import enumerate_rank
+from oracles import enumerate_rank, trie_lookup
 
 
 def tiny_table() -> SemidTable:
@@ -33,9 +33,9 @@ def test_build_trie_two_disjoint_items():
     table = tiny_table()
     trie = build_trie(table)
     assert trie.n_terminals == 2
-    assert trie.lookup([3, 5, 7]) == "i1"
-    assert trie.lookup([4, 6, 7]) == "i2"
-    assert trie.lookup([3, 6, 7]) is None
+    assert trie_lookup(trie, [3, 5, 7]) == "i1"
+    assert trie_lookup(trie, [4, 6, 7]) == "i2"
+    assert trie_lookup(trie, [3, 6, 7]) is None
     assert trie.level1_tokens() == {3, 4}
 
 
@@ -51,7 +51,7 @@ def test_trie_lookup_bijection_full_corpus(small_semids):
     trie = build_trie(table)
     assert trie.n_terminals == len(table.rows)
     for row in table.rows:
-        assert trie.lookup(row.tokens[:-1]) == row.item_id
+        assert trie_lookup(trie, row.tokens[:-1]) == row.item_id
 
 
 def test_trie_level1_fanout_sixteen():

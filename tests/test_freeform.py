@@ -45,7 +45,7 @@ def test_generate_freeform_budget_raises_after_exact_budget():
     gateway = make_gateway(world, max_calls=13)
     with pytest.raises(BudgetExhaustedError):
         generate_freeform(world.corpus, gateway, parallelism=4)
-    assert gateway.ledger.total_calls() == 13
+    assert gateway.ledger.calls() == 13
 
 
 def _table(freqs: dict[str, int], items: dict[str, list[str]] | None = None):

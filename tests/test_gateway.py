@@ -71,7 +71,7 @@ def test_budget_guard_blocks_call_past_limit():
         gateway.complete(AgentRole.ANNOTATOR, "p", "AssignItem")
     with pytest.raises(BudgetExhaustedError):
         gateway.complete(AgentRole.ANNOTATOR, "p", "AssignItem")
-    assert gateway.ledger.total_calls() == 10
+    assert gateway.ledger.calls() == 10
 
 
 def test_ledger_counts_match_invocations():
@@ -83,7 +83,7 @@ def test_ledger_counts_match_invocations():
         gateway.complete(AgentRole.ARCHITECT, f"review {i}", "ArchitectReview")
     assert gateway.ledger.calls(AgentRole.ANNOTATOR, "AssignItem") == 7
     assert gateway.ledger.calls(AgentRole.ARCHITECT, "ArchitectReview") == 3
-    assert gateway.ledger.total_calls() == 10
+    assert gateway.ledger.calls() == 10
 
 
 def test_complete_parsed_reasks_then_fails():
@@ -131,12 +131,52 @@ def test_transcript_written(tmp_path):
     path = tmp_path / "transcript.jsonl"
     gateway = _gateway(backend, transcript_path=path)
     gateway.complete(AgentRole.ANNOTATOR, "hello", "AssignItem")
+    gateway.close()
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(rows) == 1
     assert rows[0]["role"] == "annotator"
     assert rows[0]["template_id"] == "AssignItem"
     assert len(rows[0]["prompt_hash"]) == 12
     assert rows[0]["response"] == "ok:5"
+
+
+def test_transcript_line_on_disk_when_complete_returns(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = _gateway(FlakyBackend(failures=0), transcript_path=path)
+    for n in range(1, 4):
+        gateway.complete(AgentRole.ANNOTATOR, f"prompt {n}", "AssignItem")
+        # Read through a handle of its own, with the gateway still open.
+        with open(path, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert len(rows) == n
+        assert rows[-1]["response"] == f"ok:{len(f'prompt {n}')}"
+    gateway.close()
+    gateway.close()
+    assert len(path.read_text().splitlines()) == 3
+    # A call after close appends to the same file.
+    gateway.complete(AgentRole.ANNOTATOR, "again", "AssignItem")
+    gateway.close()
+    assert len(path.read_text().splitlines()) == 4
+
+
+def test_transcript_keeps_every_line_under_concurrent_calls(tmp_path):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    path = tmp_path / "transcript.jsonl"
+    gateway = _gateway(FlakyBackend(failures=0), transcript_path=path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            fan_out(pool, lambda n: gateway.complete(
+                AgentRole.ANNOTATOR, "x" * n, "AssignItem"), range(1, 401))
+    finally:
+        sys.setswitchinterval(interval)
+        gateway.close()
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sorted(row["response"] for row in rows) == \
+        sorted(f"ok:{n}" for n in range(1, 401))
 
 
 def test_parallelism_caps_calls_in_flight():
@@ -167,7 +207,7 @@ def test_parallelism_caps_calls_in_flight():
     table = generate_freeform(world.corpus, gateway, parallelism=3)
     assert table.n_failed_items == 0
     assert backend.peak == 3
-    assert gateway.ledger.total_calls() == 24
+    assert gateway.ledger.calls() == 24
 
 
 def test_fan_out_keeps_item_order_and_per_item_failures():

@@ -150,7 +150,7 @@ def test_parallel_assign_budget_raises_after_exact_budget():
     gateway = make_gateway(world, max_calls=11)
     with pytest.raises(BudgetExhaustedError):
         parallel_assign(list(world.corpus), rules, gateway, parallelism=4)
-    assert gateway.ledger.total_calls() == 11
+    assert gateway.ledger.calls() == 11
 
 
 def test_propose_changes_single_missing_category(provider):
