@@ -24,10 +24,6 @@ class BuildInterrupted(RuntimeError):
     """Build stopped early (call budget or transport exhausted); a checkpoint
     was persisted. The exhausting error is the ``__cause__``."""
 
-    def __init__(self, message: str, state: "BuildState"):
-        super().__init__(message)
-        self.state = state
-
 
 @dataclass
 class BuildReport:
@@ -57,6 +53,7 @@ class BuildState:
     report: BuildReport
     ledger_snapshot: dict | None = None
     annotations: dict[str, dict[str, list[str]]] = field(default_factory=dict)
+    inputs_hash: str | None = None  # digest of the build inputs it is for
 
 
 def branch_items(assignments: dict[str, list[str]], branching_factor: int,
@@ -93,6 +90,7 @@ def save_checkpoint(path: str | Path, state: BuildState,
         "report": state.report.to_json(),
         "ledger": ledger.snapshot() if ledger is not None else None,
         "annotations": state.annotations,
+        "inputs_hash": state.inputs_hash,
     }
     write_json(path, payload)
 
@@ -111,20 +109,22 @@ def load_checkpoint(path: str | Path) -> BuildState:
     return BuildState(tree=tree, completed=set(payload["completed"]),
                       logs=logs, report=report,
                       ledger_snapshot=payload.get("ledger"),
-                      annotations=payload.get("annotations", {}))
+                      annotations=payload.get("annotations", {}),
+                      inputs_hash=payload.get("inputs_hash"))
 
 
 def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                      provider, checkpoint_path: str | Path | None = None,
-                     resume_state: BuildState | None = None) -> BuildState:
+                     resume_state: BuildState | None = None,
+                     inputs_hash: str | None = None) -> BuildState:
     """Run the full hierarchical build; returns the final state.
 
     With a ``checkpoint_path``, state is persisted after every committed
     node; on :class:`BudgetExhaustedError` or :class:`TransportExhaustedError`
-    the partial state is saved and a :class:`BuildInterrupted` carrying it
-    is raised. Pass a loaded
-    checkpoint as ``resume_state`` to continue a prior run: completed nodes
-    are skipped without issuing any calls.
+    the partial state is saved and :class:`BuildInterrupted` is raised.
+    Pass a loaded checkpoint as ``resume_state`` to continue a prior run:
+    completed nodes are skipped without issuing any calls. A fresh state
+    records ``inputs_hash`` in its checkpoints.
     """
     if resume_state is not None:
         state = resume_state
@@ -132,7 +132,7 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
         tree = VocabularyTree(root_items=set(corpus.item_ids),
                               config=config.to_json())
         state = BuildState(tree=tree, completed=set(), logs=[],
-                           report=BuildReport())
+                           report=BuildReport(), inputs_hash=inputs_hash)
     tree = state.tree
 
     for depth in range(1, config.d_max + 1):
@@ -150,7 +150,7 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                 state.report.interrupted = True
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, state, gateway.ledger)
-                raise BuildInterrupted(str(exc), state) from exc
+                raise BuildInterrupted(str(exc)) from exc
             except RefinementError as exc:
                 state.report.nodes_failed.append(parent.rule_id)
                 state.report.residue[parent.rule_id] = len(parent.items)

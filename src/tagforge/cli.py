@@ -3,10 +3,11 @@
 Subcommands run one stage each against a run directory: ingest,
 build-vocab, assign, encode, fit, recommend, evaluate, critique-eval,
 baseline-freeform, report, resume. Config comes from a JSON file
-(``--config``) with flag overrides. Every subcommand is an entry of
-``STAGES`` run by :func:`run_stage`, which skips it when the run manifest
-says its inputs are unchanged and owns the ledger save and the exit codes;
-a lock file keeps writers exclusive.
+(``--config``); each flag of :data:`FLAGS` overrides one of its keys, and
+flag and file values pass the same checks of :meth:`RunConfig.from_json`.
+Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
+skips it when the run manifest says its inputs are unchanged and owns the
+ledger save and the exit codes; a lock file keeps writers exclusive.
 """
 
 from __future__ import annotations
@@ -86,41 +87,53 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path | None) -> "RunConfig":
-        if path is None:
-            return cls()
-        try:
-            payload = read_json(path)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError("config", f"cannot read config {path}: {exc}", 2)
-        hints = typing.get_type_hints(cls)
-        unknown = set(payload) - set(hints)
-        if unknown:
-            raise CliError("config",
-                           f"unknown config keys: {', '.join(sorted(unknown))}", 2)
-        for key, value in sorted(payload.items()):
-            hint = hints[key]
-            if not _has_type(value, hint):
-                name = hint.__name__ if type(hint) is type else str(hint)
-                raise CliError("config", f"config key {key!r} must be {name}, "
-                               f"got {value!r}", 2)
+        return cls.from_json(_read_config(path))
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "RunConfig":
+        """Type checks, the ``build`` block's included, then range checks."""
+        _check_types(payload, typing.get_type_hints(cls), "")
+        _check_types(payload.get("build", {}), _BUILD_HINTS, "build.")
         return cls(**payload)
 
-    def build_config(self, args: argparse.Namespace) -> BuildConfig:
-        try:
-            cfg = BuildConfig.from_json({"seed": self.seed,
-                                         "parallelism": self.parallelism,
-                                         **self.build})
+    def __post_init__(self) -> None:
+        for name in ("parallelism", "beam_width"):
+            if getattr(self, name) < 1:
+                raise CliError("config", f"{name} must be >= 1", 2)
+        try:  # the build block, with the top level's seed and parallelism
+            self.build_config = BuildConfig.from_json(
+                {"seed": self.seed, "parallelism": self.parallelism, **self.build})
         except VocabularyError as exc:
             raise CliError("config", str(exc), 2) from exc
-        if getattr(args, "branching_factor", None) is not None:
-            cfg.branching_factor = args.branching_factor
-        if getattr(args, "depth", None) is not None:
-            cfg.d_max = args.depth
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "parallelism", None) is not None:
-            cfg.parallelism = args.parallelism
-        return cfg
+
+
+# ``seed`` and ``parallelism`` are set at the top level only.
+_BUILD_HINTS = {key: hint for key, hint in typing.get_type_hints(BuildConfig).items()
+                if key not in ("seed", "parallelism")}
+
+
+def _read_config(path: str | Path | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        payload = read_json(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError("config", f"cannot read config {path}: {exc}", 2)
+    if not isinstance(payload, dict):
+        raise CliError("config", f"config {path} must hold a JSON object", 2)
+    return payload
+
+
+def _check_types(payload: dict, hints: dict, prefix: str) -> None:
+    unknown = sorted(prefix + key for key in set(payload) - set(hints))
+    if unknown:
+        raise CliError("config", f"unknown config keys: {', '.join(unknown)}", 2)
+    for key, value in sorted(payload.items()):
+        hint = hints[key]
+        if not _has_type(value, hint):
+            name = hint.__name__ if type(hint) is type else str(hint)
+            raise CliError("config", f"config key {prefix + key!r} must be {name}, "
+                           f"got {value!r}", 2)
 
 
 def _has_type(value, hint) -> bool:
@@ -138,22 +151,40 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, origin or hint)
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for name in ("backend", "seed", "parallelism", "simulator"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "beam", None) is not None:
-        cfg.beam_width = args.beam
-    if getattr(args, "run_dir", None) is not None:
-        cfg.run_dir = args.run_dir
-    if getattr(args, "budget_max_calls", None) is not None:
-        cfg.budget_max_calls = args.budget_max_calls
-    return cfg
+@dataclass(frozen=True)
+class Flag:
+    key: str  # the config key it overrides; build.<key> is in the build block
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    stage: str | None = None  # the one subcommand that takes it, if not all
 
 
-def make_gateway(cfg: RunConfig, paths: RunPaths,
-                 load_ledger: bool = True) -> Gateway:
+FLAGS: dict[str, Flag] = {
+    "--run-dir": Flag("run_dir"),
+    "--backend": Flag("backend", choices=("mock", "http")),
+    "--seed": Flag("seed", int),
+    "--parallelism": Flag("parallelism", int),
+    "--beam": Flag("beam_width", int),
+    "--branching-factor": Flag("build.branching_factor", int),
+    "--depth": Flag("build.d_max", int),
+    "--budget-max-calls": Flag("budget_max_calls", int),
+    "--simulator": Flag("simulator", choices=("oracle", "llm"), stage="critique-eval"),
+}
+
+
+def _with_flags(payload: dict, args: argparse.Namespace) -> dict:
+    """``payload`` with each given flag's value at its config key."""
+    for flag in FLAGS.values():
+        value = getattr(args, flag.key, None)
+        block, _, key = flag.key.rpartition(".")
+        target = payload.setdefault(block, {}) if block else payload
+        # A block that is not an object fails its type check.
+        if value is not None and isinstance(target, dict):
+            target[key] = value
+    return payload
+
+
+def make_gateway(cfg: RunConfig, paths: RunPaths) -> Gateway:
     if cfg.backend == "mock":
         if not cfg.mock_world_path:
             raise CliError("config", "mock backend requires mock_world_path", 2)
@@ -177,7 +208,7 @@ def make_gateway(cfg: RunConfig, paths: RunPaths,
     else:
         raise CliError("config", f"unknown backend {cfg.backend!r}", 2)
     ledger = CallLedger()
-    if load_ledger and paths.ledger.exists():
+    if paths.ledger.exists():
         ledger.load_jsonl(paths.ledger)
     return Gateway(backends, max_retries=cfg.max_retries,
                    backoff_base=cfg.backoff_base, max_calls=cfg.budget_max_calls,
@@ -186,16 +217,13 @@ def make_gateway(cfg: RunConfig, paths: RunPaths,
                    ledger=ledger)
 
 
-def _provider(cfg: RunConfig) -> HashingProvider:
-    return HashingProvider(dim=cfg.embed_dim)
-
-
 class StageRun:
-    """What a stage body sees: config, run paths, flags, and a gateway made
-    on first use."""
+    """What a stage body sees: config, run paths, ``--force``, the stage's
+    input digest (set by :func:`run_stage`) and a gateway made on first use."""
 
-    def __init__(self, cfg: RunConfig, paths: RunPaths, args: argparse.Namespace):
-        self.cfg, self.paths, self.args = cfg, paths, args
+    def __init__(self, cfg: RunConfig, paths: RunPaths, force: bool):
+        self.cfg, self.paths, self.force = cfg, paths, force
+        self.inputs_hash = ""
         self.made_gateway: Gateway | None = None
 
     @property
@@ -231,26 +259,22 @@ def run_stage(stage: Stage, run: StageRun) -> int:
 
     The one failure path of every stage: the ledger is saved whether the
     body finishes or stops, and an exhausted call budget or transport ends
-    in exit 3 with the stage left unmarked, so that a re-run (``resume``
-    for build-vocab) continues it.
+    in exit 3 with the stage left unmarked, so that a re-run continues it.
     """
     digest = inputs_hash(*stage.inputs(run))
     outputs = stage.outputs(run)
-    if not run.args.force and stage_is_current(run.paths, stage.name, digest,
-                                               outputs):
+    if not run.force and stage_is_current(run.paths, stage.name, digest, outputs):
         print(f"{stage.name}: up to date, skipping")
         return 0
+    run.inputs_hash = digest
     try:
         summary = stage.body(run)
     except (BuildInterrupted, BudgetExhaustedError,
             TransportExhaustedError) as exc:
         cause = exc.__cause__ if isinstance(exc, BuildInterrupted) else exc
-        kind = ("transport" if isinstance(cause, TransportExhaustedError)
-                else "budget")
-        hint = ("checkpoint saved, run resume" if isinstance(exc, BuildInterrupted)
-                else "re-run the stage")
+        kind = "transport" if isinstance(cause, TransportExhaustedError) else "budget"
         raise CliError(f"{kind}-exhausted",
-                       f"{stage.name} stopped ({hint}): {exc}", 3) from exc
+                       f"{stage.name} stopped (re-run the stage): {exc}", 3) from exc
     finally:
         if run.made_gateway is not None:
             run.made_gateway.ledger.save_jsonl(run.paths.ledger)
@@ -341,25 +365,30 @@ def _ingest(run: StageRun) -> str:
 
 
 @_stage("build-vocab",
-        lambda run: (_corpus_source(run), run.cfg.build_config(run.args).to_json(),
-                     *_backend_parts(run.cfg)),
+        lambda run: (_corpus_source(run), run.cfg.build_config.to_json(),
+                     *_backend_parts(run.cfg), run.cfg.embed_dim),
         lambda run: [run.paths.vocab, run.paths.vocab_items,
                      run.paths.annotations, run.paths.refinement_logs,
                      run.paths.build_report])
 def _build_vocab(run: StageRun) -> str:
-    cfg, paths, args = run.cfg, run.paths, run.args
+    """Continues the checkpoint when it was written for this stage digest
+    and ``--force`` is not given; otherwise builds from the root."""
+    cfg, paths = run.cfg, run.paths
     corpus = load_corpus(_corpus_source(run))
     resume_state = None
-    if (args.command == "resume" or args.resume) and paths.checkpoint.exists():
-        resume_state = load_checkpoint(paths.checkpoint)
-        if not paths.ledger.exists() and resume_state.ledger_snapshot:
-            # Hard kill before the ledger file landed: the checkpoint
-            # carries the counters.
-            run.gateway.ledger.load_snapshot(resume_state.ledger_snapshot)
-        print(f"resuming: {len(resume_state.completed)} nodes already done")
-    state = build_vocabulary(corpus, cfg.build_config(args), run.gateway,
-                             _provider(cfg), checkpoint_path=paths.checkpoint,
-                             resume_state=resume_state)
+    if not run.force and paths.checkpoint.exists():
+        saved = load_checkpoint(paths.checkpoint)
+        if saved.inputs_hash == run.inputs_hash:
+            resume_state = saved
+            if not paths.ledger.exists() and saved.ledger_snapshot:
+                # Hard kill before the ledger file landed: the checkpoint
+                # carries the counters.
+                run.gateway.ledger.load_snapshot(saved.ledger_snapshot)
+            print(f"resuming: {len(saved.completed)} nodes already done")
+    state = build_vocabulary(corpus, cfg.build_config, run.gateway,
+                             HashingProvider(dim=cfg.embed_dim),
+                             checkpoint_path=paths.checkpoint,
+                             resume_state=resume_state, inputs_hash=run.inputs_hash)
     state.tree.save(paths.vocab, paths.vocab_items)
     write_jsonl(paths.annotations,
                 ({"rule_id": rule_id, "matched": matched}
@@ -529,9 +558,9 @@ def _baseline_freeform(run: StageRun) -> str:
         summary["freqbin_error"] = str(exc)
     if cfg.freeform_kmeans_k:
         try:
-            pruned_km, _ = freeform.prune_kmeans(table, _provider(cfg),
-                                                 k=cfg.freeform_kmeans_k,
-                                                 seed=cfg.seed)
+            pruned_km, _ = freeform.prune_kmeans(
+                table, HashingProvider(dim=cfg.embed_dim), k=cfg.freeform_kmeans_k,
+                seed=cfg.seed)
             rows = freeform.pruned_to_semid_rows(pruned_km)
             write_jsonl(paths.root / "freeform_kmeans.jsonl", rows)
             summary["kmeans_items"] = len(rows)
@@ -569,7 +598,7 @@ def _report(run: StageRun) -> str:
     return f"report: wrote {paths.reports / 'summary.json'}"
 
 
-# ``resume`` is build-vocab continuing from its checkpoint.
+# ``resume`` is another name for build-vocab, which continues its checkpoint.
 STAGES["resume"] = STAGES["build-vocab"]
 
 
@@ -580,34 +609,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in STAGES:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--run-dir", default=None)
-        p.add_argument("--backend", choices=["mock", "http"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--parallelism", type=int, default=None)
-        p.add_argument("--beam", type=int, default=None)
-        p.add_argument("--branching-factor", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--budget-max-calls", type=int, default=None)
-        p.add_argument("--force", action="store_true")
-        p.add_argument("--resume", action="store_true")
-        if name == "critique-eval":
-            p.add_argument("--simulator", choices=["oracle", "llm"], default=None)
+        p.add_argument("--config", type=Path, default=None, help="JSON config file")
+        p.add_argument("--force", action="store_true",
+                       help="run even if up to date; build-vocab starts over")
+        for option, flag in FLAGS.items():
+            if flag.stage in (None, name):
+                p.add_argument(option, dest=flag.key, type=flag.type,
+                               choices=flag.choices,
+                               help=f"overrides config key {flag.key}")
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(RunConfig.load(args.config), args)
-        if cfg.parallelism < 1:
-            raise CliError("config", "parallelism must be >= 1", 2)
+        cfg = RunConfig.from_json(_with_flags(_read_config(args.config), args))
         paths = RunPaths(Path(cfg.run_dir))
         paths.ensure()
         with RunLock(paths):
             if not paths.config.exists() or args.force or args.config is not None:
                 write_json(paths.config, asdict(cfg), indent=2, sort_keys=True)
-            return run_stage(STAGES[args.command], StageRun(cfg, paths, args))
+            return run_stage(STAGES[args.command], StageRun(cfg, paths, args.force))
     except CliError as exc:
         print(f"ERR:{exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -26,7 +26,6 @@ class IngestReport:
     malformed_lines: int = 0
     unknown_items: int = 0
     excluded_users: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,6 @@ class Corpus:
     def get(self, item_id: str) -> Item:
         return self._items[self._index[item_id]]
 
-    def position(self, item_id: str) -> int:
-        return self._index[item_id]
-
     @property
     def item_ids(self) -> list[str]:
         return [item.item_id for item in self._items]
@@ -100,10 +96,6 @@ class SplitDataset:
     valid: dict[str, str]
     test: dict[str, str]
     n_excluded_users: int = 0
-
-    @property
-    def users(self) -> list[str]:
-        return sorted(self.train)
 
 
 def load_corpus(path: str | Path, lenient: bool = False,

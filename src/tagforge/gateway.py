@@ -135,7 +135,6 @@ class CallLedger:
 @dataclass
 class DecodeParams:
     temperature: float = 0.0
-    max_tokens: int | None = None
 
 
 class HttpBackend:
@@ -164,8 +163,6 @@ class HttpBackend:
         body = {"model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
                 "temperature": decode.temperature}
-        if decode.max_tokens is not None:
-            body["max_tokens"] = decode.max_tokens
         try:
             resp = self._session.post(self.endpoint, json=body,
                                       headers=headers, timeout=self.timeout)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 CREATE_NEW_CATEGORY = "CREATE_NEW_CATEGORY"
 EXPAND_EXISTING_CATEGORY = "EXPAND_EXISTING_CATEGORY"
@@ -255,37 +256,22 @@ def parse_best_rule(raw: str) -> str:
     return _require_str(payload, "best_rule_id", "best-rule response")
 
 
-def parse_path_choice(raw: str) -> list[str]:
-    """Parse the one-shot path response: ordered rule ids, possibly empty."""
-    payload = extract_json(raw)
-    if not isinstance(payload, dict) or "path_rule_ids" not in payload:
-        raise ProtocolError('expected an object with "path_rule_ids"')
-    ids = payload["path_rule_ids"]
-    if not isinstance(ids, list):
-        raise ProtocolError('"path_rule_ids" must be a list')
-    return [str(v) for v in ids]
+def _string_list(key: str) -> Callable[[str], list[str]]:
+    """Parser of a response object whose ``key`` holds a list of strings."""
+    def parse(raw: str) -> list[str]:
+        payload = extract_json(raw)
+        if not isinstance(payload, dict) or key not in payload:
+            raise ProtocolError(f'expected an object with "{key}"')
+        values = payload[key]
+        if not isinstance(values, list):
+            raise ProtocolError(f'"{key}" must be a list')
+        return [str(v) for v in values]
+    return parse
 
 
-def parse_name_list(raw: str) -> list[str]:
-    """Parse the user-simulator response: selected section names."""
-    payload = extract_json(raw)
-    if not isinstance(payload, dict) or "selected" not in payload:
-        raise ProtocolError('expected an object with "selected"')
-    names = payload["selected"]
-    if not isinstance(names, list):
-        raise ProtocolError('"selected" must be a list')
-    return [str(v) for v in names]
-
-
-def parse_keywords(raw: str) -> list[str]:
-    """Parse the free-form tagging response."""
-    payload = extract_json(raw)
-    if not isinstance(payload, dict) or "keywords" not in payload:
-        raise ProtocolError('expected an object with "keywords"')
-    kws = payload["keywords"]
-    if not isinstance(kws, list):
-        raise ProtocolError('"keywords" must be a list')
-    return [str(v) for v in kws]
+parse_path_choice = _string_list("path_rule_ids")  # one-shot path, maybe empty
+parse_name_list = _string_list("selected")  # user simulator: section names
+parse_keywords = _string_list("keywords")  # free-form tagging
 
 
 def serialize_categories(categories: list[CategoryProposal]) -> str:

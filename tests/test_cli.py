@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -148,6 +150,64 @@ def test_budget_interrupt_then_resume(tmp_path):
     vocab = json.loads((tmp_path / "run/vocab.json").read_text())
     depths = [n["depth"] for n in vocab["nodes"].values()]
     assert max(depths) == 2
+
+
+def _calls(run_dir) -> int:
+    return sum(row["calls"] for row in read_jsonl(run_dir / "ledger.jsonl"))
+
+
+def test_build_vocab_continues_its_own_checkpoint(tmp_path, capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "split").mkdir()
+    whole = _mock_config(tmp_path / "whole", world)
+    assert dispatch(["build-vocab", "--config", str(whole)]) == 0
+    split = _mock_config(tmp_path / "split", world)
+    assert dispatch(["build-vocab", "--config", str(split),
+                     "--budget-max-calls", "170"]) == 3
+    capsys.readouterr()
+    assert dispatch(["build-vocab", "--config", str(split)]) == 0
+    assert capsys.readouterr().out.startswith("resuming: ")
+    for name in ("vocab.json", "vocab_items.jsonl", "annotations.jsonl"):
+        assert ((tmp_path / "split/run" / name).read_bytes()
+                == (tmp_path / "whole/run" / name).read_bytes()), name
+    # Finished nodes are not asked again: the second run issues fewer calls
+    # than a whole build.
+    assert _calls(tmp_path / "split/run") - 170 < _calls(tmp_path / "whole/run")
+
+
+@pytest.mark.parametrize("argv", [["resume", "--depth", "1"],
+                                  ["build-vocab", "--force"]],
+                         ids=["other-inputs", "force"])
+def test_build_vocab_starts_over(tmp_path, capsys, argv):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "split").mkdir()
+    fresh = _mock_config(tmp_path / "fresh", world)
+    assert dispatch([*argv, "--config", str(fresh)]) == 0
+    split = _mock_config(tmp_path / "split", world)
+    assert dispatch(["build-vocab", "--config", str(split),
+                     "--budget-max-calls", "170"]) == 3
+    capsys.readouterr()
+    assert dispatch([*argv, "--config", str(split)]) == 0
+    assert "resuming" not in capsys.readouterr().out
+    for name in ("vocab.json", "vocab_items.jsonl", "annotations.jsonl"):
+        assert ((tmp_path / "split/run" / name).read_bytes()
+                == (tmp_path / "fresh/run" / name).read_bytes()), name
+    d_max = 1 if "--depth" in argv else 2
+    assert read_json(tmp_path / "split/run/vocab.json")["config"]["d_max"] == d_max
+
+
+def test_embed_dim_is_a_build_vocab_input(tmp_path, capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    other = tmp_path / "embed8.json"
+    other.write_text(json.dumps(read_json(config_path) | {"embed_dim": 8}))
+    capsys.readouterr()
+    assert dispatch(["build-vocab", "--config", str(other)]) == 0
+    out = capsys.readouterr().out
+    assert "up to date" not in out and "build-vocab: " in out
 
 
 def _assign_calls(run_dir) -> int:
@@ -336,6 +396,69 @@ def test_stale_lock_is_taken_over(workspace, capsys):
     assert not lock.exists()
 
 
+# A sample value per flag; --run-dir's is set per test.
+FLAG_VALUES = {"--run-dir": None, "--backend": "http", "--seed": 11,
+               "--parallelism": 3, "--beam": 7, "--branching-factor": 1,
+               "--depth": 1, "--budget-max-calls": 50, "--simulator": "llm"}
+
+
+def _set_key(payload: dict, key: str, value) -> None:
+    *blocks, leaf = key.split(".")
+    for block in blocks:
+        payload = payload.setdefault(block, {})
+    payload[leaf] = value
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
+    assert set(FLAG_VALUES) == set(cli.FLAGS)
+    root, config_path, _ = workspace
+    run_dir = tmp_path / "run"
+    shutil.copytree(root / "run", run_dir)
+    base = json.loads(config_path.read_text()) | {"run_dir": str(run_dir)}
+    key, value = cli.FLAGS[flag].key, FLAG_VALUES[flag]
+    if flag == "--run-dir":
+        base["run_dir"], value = str(tmp_path / "elsewhere"), str(run_dir)
+    stage = cli.FLAGS[flag].stage or "report"
+    flagged, keyed = tmp_path / "flagged.json", tmp_path / "keyed.json"
+    flagged.write_text(json.dumps(base))
+    payload = copy.deepcopy(base)
+    _set_key(payload, key, value)
+    keyed.write_text(json.dumps(payload))
+
+    assert dispatch([stage, "--config", str(flagged), flag, str(value)]) == 0
+    from_flag = (run_dir / "config.json").read_bytes()
+    assert dispatch([stage, "--config", str(keyed)]) == 0
+    assert (run_dir / "config.json").read_bytes() == from_flag
+    written = read_json(run_dir / "config.json")
+    for part in key.split("."):
+        written = written[part]
+    assert written == value
+
+
+@pytest.mark.parametrize("flags, extra", [
+    pytest.param(["--depth", "0"], {}, id="--depth 0"),
+    pytest.param([], {"build": {"d_max": 0}}, id="build.d_max 0"),
+    pytest.param(["--branching-factor", "-1"], {}, id="--branching-factor -1"),
+    pytest.param([], {"build": {"branching_factor": -1}},
+                 id="build.branching_factor -1"),
+    pytest.param(["--beam", "0"], {}, id="--beam 0"),
+    pytest.param([], {"beam_width": 0}, id="beam_width 0"),
+    pytest.param(["--parallelism", "0"], {}, id="--parallelism 0"),
+    pytest.param([], {"parallelism": 0}, id="parallelism 0"),
+    pytest.param([], {"build": {"d_max": "3"}}, id="build.d_max '3'"),
+    pytest.param([], {"build": {"seed": 99}}, id="build.seed"),
+    pytest.param([], {"build": {"parallelism": 2}}, id="build.parallelism"),
+])
+def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world,
+                                                  flags, extra):
+    config_path = _mock_config(tmp_path, small_world, **extra)
+    assert dispatch(["build-vocab", "--config", str(config_path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("ERR:config:")
+    # Rejected before the run directory, its ledger or transcript is made.
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, value", [("parallelism", "4"),
                                         ("beam_width", "20"),
                                         ("eval_ks", [5, "10"]),
@@ -399,3 +522,11 @@ def test_console_entrypoint_help():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "build-vocab" in out.stdout
+    # Each flag's help names the config key it overrides.
+    out = subprocess.run([sys.executable, "-m", "tagforge", "critique-eval",
+                          "--help"], capture_output=True, text=True)
+    assert out.returncode == 0
+    text = " ".join(out.stdout.split())
+    for flag, spec in cli.FLAGS.items():
+        assert re.search(rf"{flag} \S+ overrides config key {re.escape(spec.key)}"
+                         rf"( |$)", text), flag
