@@ -10,7 +10,7 @@ anything already committed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
@@ -31,14 +31,9 @@ class BuildReport:
     nodes_failed: list[str] = field(default_factory=list)
     degenerate_splits: list[str] = field(default_factory=list)
     residue: dict[str, int] = field(default_factory=dict)
-    interrupted: bool = False
 
     def to_json(self) -> dict:
-        return {"nodes_refined": self.nodes_refined,
-                "nodes_failed": self.nodes_failed,
-                "degenerate_splits": self.degenerate_splits,
-                "residue": self.residue,
-                "interrupted": self.interrupted}
+        return asdict(self)
 
 
 @dataclass
@@ -147,7 +142,6 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                 result = refine([corpus.get(i) for i in sorted(parent.items)],
                                 parent, tree, config, gateway, provider)
             except (BudgetExhaustedError, TransportExhaustedError) as exc:
-                state.report.interrupted = True
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, state, gateway.ledger)
                 raise BuildInterrupted(str(exc)) from exc

@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Literal
 
 from . import assignment as asg
 from . import decoding as dec
@@ -29,9 +29,8 @@ from .clustering import HashingProvider
 from .corpus import (IngestReport, last_out_split, load_corpus,
                      load_interactions, read_splits, write_corpus,
                      write_interactions, write_splits)
-from .gateway import (AgentRole, BudgetExhaustedError, CallLedger,
-                      DecodeParams, Gateway, HttpBackend,
-                      TransportExhaustedError)
+from .gateway import (AgentRole, BudgetExhaustedError, CallLedger, Gateway,
+                      HttpBackend, TransportExhaustedError)
 from .mockllm import MockLLMBackend
 from .planted import load_taxonomy
 from .refinement import log_from_json
@@ -51,23 +50,23 @@ class CliError(RuntimeError):
 @dataclass
 class RunConfig:
     run_dir: str = "runs/default"
-    backend: str = "mock"
+    backend: Literal["mock", "http"] = "mock"
     seed: int = 7
     corpus_path: str | None = None
     interactions_path: str | None = None
     strict_ingest: bool = True
     build: dict = field(default_factory=dict)
-    assign_mode: str = "per-level"
+    assign_mode: Literal["per-level", "one-shot"] = "per-level"
     n_slots: int | None = None
     parallelism: int = 8
     embed_dim: int = 256
     surrogate_order: int = 3
     surrogate_alpha: float = 0.1
     beam_width: int = 20
-    eval_mode: str = "full"
+    eval_mode: Literal["full", "sampled"] = "full"
     eval_ks: list[int] = field(default_factory=lambda: [5, 10, 20])
     n_negatives: int = 100
-    simulator: str = "oracle"
+    simulator: Literal["oracle", "llm"] = "oracle"
     freeform_n_tags: int = 3
     freeform_min_f: int = 10
     freeform_max_f: int = 2000
@@ -92,7 +91,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, payload: dict) -> "RunConfig":
         """Type checks, the ``build`` block's included, then range checks."""
-        _check_types(payload, typing.get_type_hints(cls), "")
+        _check_types(payload, _HINTS, "")
         _check_types(payload.get("build", {}), _BUILD_HINTS, "build.")
         return cls(**payload)
 
@@ -107,6 +106,7 @@ class RunConfig:
             raise CliError("config", str(exc), 2) from exc
 
 
+_HINTS = typing.get_type_hints(RunConfig)
 # ``seed`` and ``parallelism`` are set at the top level only.
 _BUILD_HINTS = {key: hint for key, hint in typing.get_type_hints(BuildConfig).items()
                 if key not in ("seed", "parallelism")}
@@ -131,15 +131,18 @@ def _check_types(payload: dict, hints: dict, prefix: str) -> None:
     for key, value in sorted(payload.items()):
         hint = hints[key]
         if not _has_type(value, hint):
-            name = hint.__name__ if type(hint) is type else str(hint)
+            name = (hint.__name__ if type(hint) is type
+                    else str(hint).replace("typing.", ""))
             raise CliError("config", f"config key {prefix + key!r} must be {name}, "
                            f"got {value!r}", 2)
 
 
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation (an int fits a float;
-    a bool is not an int)."""
+    a bool is not an int; a ``Literal`` lists the values that fit)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Literal:
+        return value in args
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, arg) for arg in args)
     if origin is list:
@@ -155,21 +158,26 @@ def _has_type(value, hint) -> bool:
 class Flag:
     key: str  # the config key it overrides; build.<key> is in the build block
     type: Callable[[str], object] = str
-    choices: tuple[str, ...] | None = None
     stage: str | None = None  # the one subcommand that takes it, if not all
 
 
 FLAGS: dict[str, Flag] = {
     "--run-dir": Flag("run_dir"),
-    "--backend": Flag("backend", choices=("mock", "http")),
+    "--backend": Flag("backend"),
     "--seed": Flag("seed", int),
     "--parallelism": Flag("parallelism", int),
     "--beam": Flag("beam_width", int),
     "--branching-factor": Flag("build.branching_factor", int),
     "--depth": Flag("build.d_max", int),
     "--budget-max-calls": Flag("budget_max_calls", int),
-    "--simulator": Flag("simulator", choices=("oracle", "llm"), stage="critique-eval"),
+    "--simulator": Flag("simulator", stage="critique-eval"),
 }
+
+
+def _choices(key: str) -> tuple | None:
+    """The values a ``Literal`` config key allows, offered by its flag."""
+    hint = _HINTS.get(key)
+    return typing.get_args(hint) if typing.get_origin(hint) is Literal else None
 
 
 def _with_flags(payload: dict, args: argparse.Namespace) -> dict:
@@ -194,27 +202,23 @@ def make_gateway(cfg: RunConfig, paths: RunPaths) -> Gateway:
             false_negative_rate=cfg.mock_false_negative_rate,
             hidden_categories=frozenset(cfg.mock_hidden_categories))
         backends = {AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend}
-    elif cfg.backend == "http":
+    else:
         if not cfg.http_endpoint:
             raise CliError("config", "http backend requires http_endpoint", 2)
         backends = {
             AgentRole.ARCHITECT: HttpBackend(
                 cfg.http_endpoint, cfg.http_architect_model or "architect",
-                auth_env=cfg.http_auth_env),
+                auth_env=cfg.http_auth_env, temperature=cfg.http_temperature),
             AgentRole.ANNOTATOR: HttpBackend(
                 cfg.http_endpoint, cfg.http_annotator_model or "annotator",
-                auth_env=cfg.http_auth_env),
+                auth_env=cfg.http_auth_env, temperature=cfg.http_temperature),
         }
-    else:
-        raise CliError("config", f"unknown backend {cfg.backend!r}", 2)
     ledger = CallLedger()
     if paths.ledger.exists():
         ledger.load_jsonl(paths.ledger)
     return Gateway(backends, max_retries=cfg.max_retries,
                    backoff_base=cfg.backoff_base, max_calls=cfg.budget_max_calls,
-                   transcript_path=paths.transcript,
-                   default_decode=DecodeParams(temperature=cfg.http_temperature),
-                   ledger=ledger)
+                   transcript_path=paths.transcript, ledger=ledger)
 
 
 class StageRun:
@@ -293,25 +297,38 @@ def _corpus_source(run: StageRun) -> Path:
 
 
 def _backend_parts(cfg: RunConfig) -> tuple:
+    """What decides the backend's answers, so every LLM stage's digest."""
     return (cfg.backend, cfg.mock_world_path or "",
-            sorted(cfg.mock_hidden_categories), cfg.mock_false_negative_rate)
+            sorted(cfg.mock_hidden_categories), cfg.mock_false_negative_rate,
+            cfg.http_endpoint or "", cfg.http_architect_model or "",
+            cfg.http_annotator_model or "", cfg.http_temperature)
+
+
+def _require(path: Path, stage: str) -> Path:
+    """``path``, or ``ERR:stage`` naming the stage that writes it."""
+    if not path.exists():
+        raise CliError("stage", f"{path.name} missing; run {stage} first")
+    return path
 
 
 def _load_tree(paths: RunPaths) -> VocabularyTree:
-    if not paths.vocab.exists():
-        raise CliError("stage", "vocab.json missing; run build-vocab first")
     items = paths.vocab_items if paths.vocab_items.exists() else None
-    return VocabularyTree.load(paths.vocab, items)
+    return VocabularyTree.load(_require(paths.vocab, "build-vocab"), items)
 
 
 def _decode_inputs(paths: RunPaths) -> tuple:
     return paths.splits, paths.semids, paths.token_map, paths.model
 
 
+def _load_split_and_table(paths: RunPaths):
+    return (read_splits(_require(paths.splits, "ingest")),
+            asg.SemidTable.load(_require(paths.semids, "encode"),
+                                _require(paths.token_map, "encode")))
+
+
 def _decode_setup(paths: RunPaths):
-    split = read_splits(paths.splits)
-    table = asg.SemidTable.load(paths.semids, paths.token_map)
-    model = dec.SurrogateModel.load(paths.model)
+    split, table = _load_split_and_table(paths)
+    model = dec.SurrogateModel.load(_require(paths.model, "fit"))
     return split, table, model, dec.build_trie(table)
 
 
@@ -430,10 +447,8 @@ def _assign(run: StageRun) -> str:
 def _encode(run: StageRun) -> str:
     paths = run.paths
     tree = _load_tree(paths)
-    if not paths.assignments.exists():
-        raise CliError("stage", "assignments.jsonl missing; run assign first")
     records = [asg.AssignmentRecord.from_json(raw)
-               for raw in read_jsonl(paths.assignments)]
+               for raw in read_jsonl(_require(paths.assignments, "assign"))]
     table = asg.export_semids(records, tree)
     table.save(paths.semids, paths.token_map)
     n_slots = run.cfg.n_slots or max(tree.max_depth(),
@@ -453,10 +468,7 @@ def _encode(run: StageRun) -> str:
         lambda run: [run.paths.model])
 def _fit(run: StageRun) -> str:
     cfg, paths = run.cfg, run.paths
-    if not paths.splits.exists():
-        raise CliError("stage", "splits.jsonl missing; run ingest first")
-    split = read_splits(paths.splits)
-    table = asg.SemidTable.load(paths.semids, paths.token_map)
+    split, table = _load_split_and_table(paths)
     model = dec.fit_surrogate(split, table, order=cfg.surrogate_order,
                               alpha=cfg.surrogate_alpha)
     model.save(paths.model)
@@ -615,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option, flag in FLAGS.items():
             if flag.stage in (None, name):
                 p.add_argument(option, dest=flag.key, type=flag.type,
-                               choices=flag.choices,
+                               choices=_choices(flag.key),
                                help=f"overrides config key {flag.key}")
     return parser
 

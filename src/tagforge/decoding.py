@@ -298,15 +298,13 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
 
 def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
                   tree: VocabularyTree, mode: str = "oracle",
-                  gateway: Gateway | None = None, k_nearest: int = 0,
-                  provider=None, fallback: bool = True) -> set[int]:
+                  gateway: Gateway | None = None) -> set[int]:
     """Allowed level-1 tokens for critique-constrained decoding.
 
-    Oracle mode returns the target's own level-1 token, plus its
-    ``k_nearest`` sibling tokens by name-embedding distance when requested.
-    LLM mode asks the simulator prompt and maps the returned section names
-    back onto level-1 tokens; on a parse failure it falls back to oracle
-    when ``fallback`` is set.
+    Oracle mode returns the target's own level-1 token. LLM mode asks the
+    simulator prompt and maps the returned section names back onto level-1
+    tokens; an unparseable answer, or one naming no section, falls back to
+    the oracle's.
     """
     if mode not in ("oracle", "llm"):
         raise DecodingError(f"unknown simulator mode {mode!r}")
@@ -316,41 +314,18 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
     level1_nodes = tree.children_of(tree.root_id)
     token_by_name = {n.name: table.token_of[n.rule_id] for n in level1_nodes
                      if n.rule_id in table.token_of}
-    true_name = row.path_names[0]
-    if mode == "llm":
-        if gateway is None:
-            raise DecodingError("llm mode requires a gateway")
-        prompt = prompts.render_prompt(prompts.USER_SIMULATOR, {
-            "target_text": wire.flatten(corpus.get(item_id).prompt_text()),
-            "level1_names_text": wire.names_text(sorted(token_by_name)),
-        })
-        try:
-            names = gateway.complete_parsed(AgentRole.ARCHITECT, prompt,
-                                            prompts.USER_SIMULATOR,
-                                            parse_name_list)
-        except ProtocolError:
-            if not fallback:
-                raise
-            names = [true_name]
-        selected = {token_by_name[n] for n in names if n in token_by_name}
-        if selected:
-            return selected
-        if not fallback:
-            raise DecodingError(f"{item_id}: simulator selected no valid section")
-    allowed = {token_by_name[true_name]}
-    if k_nearest > 0:
-        if provider is None:
-            raise DecodingError("k_nearest requires an embedding provider")
-        from .clustering import embed_batch
-        import numpy as np
-
-        names = sorted(token_by_name)
-        vectors = embed_batch(provider, names)
-        target_vec = vectors[names.index(true_name)]
-        dists = np.linalg.norm(vectors - target_vec, axis=1)
-        order = sorted(range(len(names)), key=lambda i: (dists[i], names[i]))
-        for i in order:
-            if len(allowed) > k_nearest:
-                break
-            allowed.add(token_by_name[names[i]])
-    return allowed
+    oracle = {token_by_name[row.path_names[0]]}
+    if mode == "oracle":
+        return oracle
+    if gateway is None:
+        raise DecodingError("llm mode requires a gateway")
+    prompt = prompts.render_prompt(prompts.USER_SIMULATOR, {
+        "target_text": wire.flatten(corpus.get(item_id).prompt_text()),
+        "level1_names_text": wire.names_text(sorted(token_by_name)),
+    })
+    try:
+        names = gateway.complete_parsed(AgentRole.ARCHITECT, prompt,
+                                        prompts.USER_SIMULATOR, parse_name_list)
+    except ProtocolError:
+        return oracle
+    return {token_by_name[n] for n in names if n in token_by_name} or oracle

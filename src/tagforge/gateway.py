@@ -1,12 +1,14 @@
 """Uniform interface to the architect and annotator LLMs.
 
-A :class:`Gateway` owns one backend per role, a thread-safe call ledger, a
-retry policy for transient transport failures, an optional global call
-budget, and an optional transcript log, opened on the first call and kept
-open until :meth:`Gateway.close`. ``complete_parsed`` layers the
-re-ask policy for malformed responses on top. :func:`fan_out` runs one
-batch of per-item calls on a caller's pool, whose width (``parallelism``)
-is the one cap on calls in flight.
+A backend is any object with ``generate(prompt) -> str``; whatever else it
+needs (model, temperature) it takes at construction. A :class:`Gateway` owns
+one backend per role, a thread-safe call ledger, a retry policy for transient
+transport failures, an optional global call budget, and an optional
+transcript log, opened on the first call and kept open until
+:meth:`Gateway.close`. ``complete_parsed`` layers the re-ask policy for
+malformed responses on top. :func:`fan_out` runs one batch of per-item calls
+on a caller's pool, whose width (``parallelism``) is the one cap on calls in
+flight.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ import requests
 from .prompts import FORMAT_REMINDER
 from .protocol import ProtocolError
 from .runs import read_jsonl, write_jsonl
+
+
+# Re-asks, each with the format reminder appended, after a malformed response.
+MAX_REASKS = 2
 
 
 class AgentRole(str, enum.Enum):
@@ -132,37 +138,34 @@ class CallLedger:
             stats.token_estimate += int(row.get("token_estimate", 0))
 
 
-@dataclass
-class DecodeParams:
-    temperature: float = 0.0
-
-
 class HttpBackend:
     """Generic chat-completion-style JSON-over-HTTP backend.
 
     Request body: ``{"model": ..., "messages": [{"role": "user", "content":
-    ...}], "temperature": ...}``. The first candidate's text is returned;
-    both OpenAI-style ``choices`` and Gemini-style ``candidates`` layouts are
-    accepted. The credential is read from the environment variable named by
+    ...}], "temperature": ...}``, with the model and temperature given at
+    construction. The first candidate's text is returned; both OpenAI-style
+    ``choices`` and Gemini-style ``candidates`` layouts are accepted. The credential is read from the environment variable named by
     ``auth_env`` and sent as a bearer token.
     """
 
     def __init__(self, endpoint: str, model: str, auth_env: str = "LLM_API_KEY",
-                 timeout: float = 60.0, session: requests.Session | None = None):
+                 temperature: float = 0.0, timeout: float = 60.0,
+                 session: requests.Session | None = None):
         self.endpoint = endpoint
         self.model = model
+        self.temperature = temperature
         self.auth_env = auth_env
         self.timeout = timeout
         self._session = session or requests.Session()
 
-    def generate(self, prompt: str, decode: DecodeParams) -> str:
+    def generate(self, prompt: str) -> str:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = {"model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
-                "temperature": decode.temperature}
+                "temperature": self.temperature}
         try:
             resp = self._session.post(self.endpoint, json=body,
                                       headers=headers, timeout=self.timeout)
@@ -205,7 +208,6 @@ class Gateway:
                  max_retries: int = 3, backoff_base: float = 0.5,
                  max_calls: int | None = None,
                  transcript_path: str | Path | None = None,
-                 default_decode: DecodeParams | None = None,
                  ledger: CallLedger | None = None):
         self._backends = dict(backends)
         self.max_retries = max_retries
@@ -217,10 +219,8 @@ class Gateway:
         self._transcript_path = Path(transcript_path) if transcript_path else None
         self._transcript_lock = threading.Lock()
         self._transcript: TextIO | None = None
-        self._default_decode = default_decode or DecodeParams()
 
-    def complete(self, role: AgentRole, prompt: str, template_id: str,
-                 decode: DecodeParams | None = None) -> str:
+    def complete(self, role: AgentRole, prompt: str, template_id: str) -> str:
         """One LLM call. Retries transient failures with exponential backoff.
 
         Raises :class:`BudgetExhaustedError` before issuing a call that would
@@ -229,7 +229,6 @@ class Gateway:
         backend = self._backends.get(role)
         if backend is None:
             raise GatewayError(f"no backend configured for role {role.value!r}")
-        decode = decode or self._default_decode
         with self._budget_lock:
             # Budget counts calls admitted by this gateway instance, so a
             # resumed run with a reloaded ledger starts from a fresh budget.
@@ -241,7 +240,7 @@ class Gateway:
         attempt = 0
         while True:
             try:
-                response = backend.generate(prompt, decode)
+                response = backend.generate(prompt)
                 break
             except TransientBackendError as exc:
                 attempt += 1
@@ -255,21 +254,20 @@ class Gateway:
         return response
 
     def complete_parsed(self, role: AgentRole, prompt: str, template_id: str,
-                        parser: Callable[[str], object],
-                        decode: DecodeParams | None = None, max_reasks: int = 2):
+                        parser: Callable[[str], object]):
         """``complete`` plus parsing; malformed responses trigger up to
-        ``max_reasks`` re-asks with an appended format reminder."""
+        :data:`MAX_REASKS` re-asks with an appended format reminder."""
         current = prompt
         last_error: ProtocolError | None = None
-        for _ in range(max_reasks + 1):
-            raw = self.complete(role, current, template_id, decode)
+        for _ in range(MAX_REASKS + 1):
+            raw = self.complete(role, current, template_id)
             try:
                 return parser(raw)
             except ProtocolError as exc:
                 last_error = exc
                 current = f"{prompt}\n\n{FORMAT_REMINDER}"
         raise ProtocolError(
-            f"{role.value}/{template_id}: unparseable after {max_reasks} re-asks: "
+            f"{role.value}/{template_id}: unparseable after {MAX_REASKS} re-asks: "
             f"{last_error}")
 
     def _log_transcript(self, role: AgentRole, template_id: str,

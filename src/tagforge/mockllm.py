@@ -24,8 +24,7 @@ from collections import Counter
 from . import wire
 from .planted import PlantedTaxonomy, tokenize
 from .vocab import ROOT_NAME
-from .protocol import (CREATE_NEW_CATEGORY, IGNORE_AS_OUTLIERS, CategoryProposal,
-                       serialize_categories)
+from .protocol import CREATE_NEW_CATEGORY, IGNORE_AS_OUTLIERS
 
 _PARENT_RE = re.compile(r'[Pp]arent category: "([^"]*)"')
 _FOUND_IN_RE = re.compile(r'found in "([^"]*)"')
@@ -48,7 +47,7 @@ class MockLLMBackend:
         self.false_negative_rate = false_negative_rate
         self.hidden_categories = frozenset(hidden_categories)
 
-    def generate(self, prompt: str, decode=None) -> str:
+    def generate(self, prompt: str) -> str:
         if "You are an expert taxonomy architect" in prompt:
             return self._propose_categories(prompt)
         if "Above, I have provided the parent category" in prompt:
@@ -102,12 +101,11 @@ class MockLLMBackend:
             for child in self.taxonomy.child_names(parent):
                 if child in sample_tokens and child not in self.hidden_categories:
                     visible.append(child)
-        if not visible:
-            return json.dumps({"categories": []})
-        cats = [CategoryProposal(name=c, description=category_description(c),
-                                 includes=(c,), excludes=())
-                for c in visible]
-        return serialize_categories(cats)
+        return json.dumps({"categories": [
+            {"name": c, "description": category_description(c),
+             "includes": [c], "excludes": []}
+            for c in visible
+        ]}, ensure_ascii=False)
 
     def _annotate(self, prompt: str) -> str:
         rules_section = wire.section(prompt, "Candidate rules:", "Item:")

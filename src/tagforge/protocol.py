@@ -7,7 +7,6 @@ extracted and then validated field by field.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -16,7 +15,12 @@ from typing import Callable
 CREATE_NEW_CATEGORY = "CREATE_NEW_CATEGORY"
 EXPAND_EXISTING_CATEGORY = "EXPAND_EXISTING_CATEGORY"
 IGNORE_AS_OUTLIERS = "IGNORE_AS_OUTLIERS"
-CHANGE_TYPES = (CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY, IGNORE_AS_OUTLIERS)
+# The required fields of each change type's ``suggested_change``, in wire order.
+CHANGE_FIELDS = {
+    CREATE_NEW_CATEGORY: ("new_rule_description",),
+    EXPAND_EXISTING_CATEGORY: ("rule_id_to_refine", "refined_description"),
+    IGNORE_AS_OUTLIERS: ("reason",),
+}
 
 APPROVED = "APPROVED"
 REJECTED = "REJECTED"
@@ -35,45 +39,22 @@ class CategoryProposal:
     includes: tuple[str, ...] = ()
     excludes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ProtocolError("category name must be non-empty")
-        if not self.description:
-            raise ProtocolError("category description must be non-empty")
-
 
 @dataclass(frozen=True)
 class ChangeProposal:
+    """``change`` is the ``suggested_change`` object: exactly the fields
+    :data:`CHANGE_FIELDS` lists for ``change_type``."""
+
     proposal_id: str
     change_type: str
     problem_summary: str
-    # Variant payload; exactly the fields matching change_type are set.
-    new_rule_description: str | None = None
-    rule_id_to_refine: str | None = None
-    refined_description: str | None = None
-    reason: str | None = None
+    change: dict[str, str]
 
-    def __post_init__(self) -> None:
-        if self.change_type not in CHANGE_TYPES:
-            raise ProtocolError(f"unknown change_type {self.change_type!r}")
-        if self.change_type == CREATE_NEW_CATEGORY:
-            ok = (self.new_rule_description and self.rule_id_to_refine is None
-                  and self.refined_description is None and self.reason is None)
-        elif self.change_type == EXPAND_EXISTING_CATEGORY:
-            ok = (self.rule_id_to_refine and self.refined_description
-                  and self.new_rule_description is None and self.reason is None)
-            if ok and not ("INCLUDES" in self.refined_description
-                           and "EXCLUDES" in self.refined_description):
-                raise ProtocolError(
-                    "refined_description must contain both INCLUDES and EXCLUDES"
-                )
-        else:
-            ok = (self.reason and self.new_rule_description is None
-                  and self.rule_id_to_refine is None and self.refined_description is None)
-        if not ok:
-            raise ProtocolError(
-                f"suggested_change payload does not match change_type {self.change_type}"
-            )
+    def to_json(self) -> dict:
+        """The proposal as the annotator wrote it, without its id."""
+        return {"change_type": self.change_type,
+                "problem_summary": self.problem_summary,
+                "suggested_change": self.change}
 
 
 @dataclass(frozen=True)
@@ -172,39 +153,25 @@ def parse_categories(raw: str) -> list[CategoryProposal]:
     return out
 
 
-def parse_change_proposal(raw: str, proposal_id: str | None = None) -> ChangeProposal:
-    """Parse one structured change proposal (three documented shapes)."""
+def parse_change_proposal(raw: str, proposal_id: str) -> ChangeProposal:
+    """Parse one structured change proposal; its fields come from
+    :data:`CHANGE_FIELDS`, and other keys of ``suggested_change`` are dropped."""
     payload = extract_json(raw)
     if not isinstance(payload, dict):
         raise ProtocolError("change proposal must be a JSON object")
     change_type = _require_str(payload, "change_type", "proposal")
     summary = _require_str(payload, "problem_summary", "proposal")
-    change = payload.get("suggested_change")
-    if not isinstance(change, dict):
+    suggested = payload.get("suggested_change")
+    if not isinstance(suggested, dict):
         raise ProtocolError('proposal: missing "suggested_change" object')
-    if proposal_id is None:
-        digest = hashlib.sha1(
-            json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-        proposal_id = f"prop_{digest[:8]}"
-    if change_type == CREATE_NEW_CATEGORY:
-        return ChangeProposal(
-            proposal_id=proposal_id, change_type=change_type, problem_summary=summary,
-            new_rule_description=_require_str(change, "new_rule_description",
-                                              "suggested_change"),
-        )
-    if change_type == EXPAND_EXISTING_CATEGORY:
-        return ChangeProposal(
-            proposal_id=proposal_id, change_type=change_type, problem_summary=summary,
-            rule_id_to_refine=_require_str(change, "rule_id_to_refine", "suggested_change"),
-            refined_description=_require_str(change, "refined_description",
-                                             "suggested_change"),
-        )
-    if change_type == IGNORE_AS_OUTLIERS:
-        return ChangeProposal(
-            proposal_id=proposal_id, change_type=change_type, problem_summary=summary,
-            reason=_require_str(change, "reason", "suggested_change"),
-        )
-    raise ProtocolError(f"unknown change_type {change_type!r}")
+    if change_type not in CHANGE_FIELDS:
+        raise ProtocolError(f"unknown change_type {change_type!r}")
+    change = {key: _require_str(suggested, key, "suggested_change")
+              for key in CHANGE_FIELDS[change_type]}
+    refined = change.get("refined_description")
+    if refined is not None and not ("INCLUDES" in refined and "EXCLUDES" in refined):
+        raise ProtocolError("refined_description must contain both INCLUDES and EXCLUDES")
+    return ChangeProposal(proposal_id, change_type, summary, change)
 
 
 def parse_reviews(raw: str) -> list[ReviewDecision]:
@@ -272,24 +239,3 @@ def _string_list(key: str) -> Callable[[str], list[str]]:
 parse_path_choice = _string_list("path_rule_ids")  # one-shot path, maybe empty
 parse_name_list = _string_list("selected")  # user simulator: section names
 parse_keywords = _string_list("keywords")  # free-form tagging
-
-
-def serialize_categories(categories: list[CategoryProposal]) -> str:
-    return json.dumps({"categories": [
-        {"name": c.name, "description": c.description,
-         "includes": list(c.includes), "excludes": list(c.excludes)}
-        for c in categories
-    ]}, ensure_ascii=False)
-
-
-def serialize_change_proposal(proposal: ChangeProposal) -> str:
-    if proposal.change_type == CREATE_NEW_CATEGORY:
-        change = {"new_rule_description": proposal.new_rule_description}
-    elif proposal.change_type == EXPAND_EXISTING_CATEGORY:
-        change = {"rule_id_to_refine": proposal.rule_id_to_refine,
-                  "refined_description": proposal.refined_description}
-    else:
-        change = {"reason": proposal.reason}
-    return json.dumps({"change_type": proposal.change_type,
-                       "problem_summary": proposal.problem_summary,
-                       "suggested_change": change}, ensure_ascii=False)

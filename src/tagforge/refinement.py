@@ -23,7 +23,7 @@ from .protocol import (APPROVED, CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY,
                        REJECTED, ChangeProposal,
                        ProtocolError, ReviewDecision, parse_categories,
                        parse_change_proposal, parse_matched_rules,
-                       parse_reviews, serialize_change_proposal)
+                       parse_reviews)
 from .vocab import (STATUS_OUTLIERS_RECORDED, BuildConfig, DescriptorNode,
                     VocabularyTree)
 
@@ -67,11 +67,14 @@ class CycleRecord:
 
 @dataclass
 class RefinementLog:
+    """``outlier_items``: the items of approved IGNORE_AS_OUTLIERS proposals."""
+
     rule_id: str
     depth: int
     n_items: int
     notes: list[str] = field(default_factory=list)
     cycles: list[CycleRecord] = field(default_factory=list)
+    outlier_items: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -79,6 +82,7 @@ class RefinementLog:
             "depth": self.depth,
             "n_items": self.n_items,
             "notes": self.notes,
+            "outlier_items": self.outlier_items,
             "cycles": [
                 {"cycle": c.cycle, "coverage": c.coverage,
                  "n_unassigned": c.n_unassigned, "proposals": c.proposals,
@@ -94,13 +98,13 @@ class RefineResult:
     children: list[DescriptorNode]
     log: RefinementLog
     last_outcome: AssignOutcome | None
-    outlier_items: set[str] = field(default_factory=set)
     parent_status: str | None = None
 
 
 def log_from_json(row: dict) -> RefinementLog:
     log = RefinementLog(rule_id=row["rule_id"], depth=row["depth"],
-                        n_items=row["n_items"], notes=list(row.get("notes", [])))
+                        n_items=row["n_items"], notes=list(row.get("notes", [])),
+                        outlier_items=list(row.get("outlier_items", [])))
     for c in row.get("cycles", []):
         log.cycles.append(CycleRecord(
             cycle=c["cycle"], coverage=c["coverage"],
@@ -293,7 +297,7 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
     """
     proposals_text = "\n".join(
         wire.proposal_line(p.proposal_id, p.change_type, p.problem_summary,
-                           serialize_change_proposal(p))
+                           json.dumps(p.to_json(), ensure_ascii=False))
         for p in proposals)
     prompt = prompts.render_prompt(prompts.ARCHITECT_REVIEW,
                                    {"proposals_text": proposals_text})
@@ -324,8 +328,9 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
         if review.decision != APPROVED:
             effective.append(review)
             continue
+        change = proposal.change
         if proposal.change_type == CREATE_NEW_CATEGORY:
-            name = _name_from_description(proposal.new_rule_description)
+            name = _name_from_description(change["new_rule_description"])
             if name.casefold() in child_names:
                 notes.append(f"{proposal.proposal_id}: duplicate name "
                              f"{name!r}, merged with existing rule")
@@ -333,25 +338,25 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
                 continue
             rule_id = tree.fresh_rule_id(parent.rule_id, name, local)
             node = DescriptorNode(rule_id=rule_id, name=name,
-                                  description=proposal.new_rule_description,
+                                  description=change["new_rule_description"],
                                   parent=parent.rule_id, depth=parent.depth + 1)
             local[rule_id] = node
             children.append(node)
             child_names.add(name.casefold())
             effective.append(review)
         elif proposal.change_type == EXPAND_EXISTING_CATEGORY:
-            target = local.get(proposal.rule_id_to_refine)
+            target = local.get(change["rule_id_to_refine"])
             if target is None:
                 effective.append(ReviewDecision(
                     proposal_id=proposal.proposal_id, decision=REJECTED,
                     reasoning=f"unknown rule_id_to_refine "
-                              f"{proposal.rule_id_to_refine!r}"))
+                              f"{change['rule_id_to_refine']!r}"))
                 notes.append(f"{proposal.proposal_id}: auto-rejected, unknown "
-                             f"rule {proposal.rule_id_to_refine!r}")
+                             f"rule {change['rule_id_to_refine']!r}")
                 continue
             child_names.discard(target.name.casefold())
-            target.description = proposal.refined_description
-            target.name = _name_from_description(proposal.refined_description)
+            target.description = change["refined_description"]
+            target.name = _name_from_description(change["refined_description"])
             child_names.add(target.name.casefold())
             effective.append(review)
         else:  # IGNORE_AS_OUTLIERS
@@ -406,13 +411,13 @@ def refine(items: list[Item], parent: DescriptorNode, tree: VocabularyTree,
         outliers.update(cycle_outliers)
         if flagged:
             parent_status = STATUS_OUTLIERS_RECORDED
-        record.proposals = [json.loads(serialize_change_proposal(p))
-                            | {"proposal_id": p.proposal_id}
+        record.proposals = [p.to_json() | {"proposal_id": p.proposal_id}
                             for p in proposals]
         record.decisions = [{"proposal_id": d.proposal_id,
                              "decision": d.decision,
                              "reasoning": d.reasoning} for d in decisions]
         record.vocab_after = len(children)
         log.cycles.append(record)
+    log.outlier_items = sorted(outliers)
     return RefineResult(children=children, log=log, last_outcome=outcome,
-                        outlier_items=outliers, parent_status=parent_status)
+                        parent_status=parent_status)

@@ -26,10 +26,10 @@ class OutageBackend:
         self.hit = hit
         self.down = True
 
-    def generate(self, prompt, decode):
+    def generate(self, prompt):
         if self.down and self.hit(prompt):
             raise TransientBackendError("HTTP 503")
-        return self.inner.generate(prompt, decode)
+        return self.inner.generate(prompt)
 
 
 class GarbageBackend:
@@ -42,10 +42,10 @@ class GarbageBackend:
         self.inner = inner
         self.hit = hit
 
-    def generate(self, prompt, decode):
+    def generate(self, prompt):
         if self.hit(prompt):
             return self.REPLY
-        return self.inner.generate(prompt, decode)
+        return self.inner.generate(prompt)
 
 
 def failing_items_gateway(world, down: str, garbled: str, **gateway_kwargs):

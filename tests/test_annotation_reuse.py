@@ -24,9 +24,9 @@ class PromptLog:
         self.inner = inner
         self.prompts: list[str] = []
 
-    def generate(self, prompt, decode):
+    def generate(self, prompt):
         self.prompts.append(prompt)
-        return self.inner.generate(prompt, decode)
+        return self.inner.generate(prompt)
 
 
 def logged_gateway(world, **backend_kwargs) -> tuple[Gateway, PromptLog]:

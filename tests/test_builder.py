@@ -10,7 +10,8 @@ from tagforge.builder import (BuildInterrupted, branch_items, build_vocabulary,
                               load_checkpoint, save_checkpoint)
 from tagforge.gateway import AgentRole
 from tagforge.planted import make_world
-from tagforge.vocab import BuildConfig
+from tagforge.refinement import log_from_json
+from tagforge.vocab import STATUS_OUTLIERS_RECORDED, BuildConfig
 
 from conftest import make_gateway
 
@@ -189,11 +190,11 @@ def test_refinement_failure_marks_node_and_continues(provider):
         def __init__(self, inner):
             self.inner = inner
 
-        def generate(self, prompt, decode=None):
+        def generate(self, prompt):
             if (f'parent category: "{victim}:' in prompt
                     or f'found in "{victim}:' in prompt):
                 return "no json for you"
-            return self.inner.generate(prompt, decode)
+            return self.inner.generate(prompt)
 
     from tagforge.gateway import Gateway
     from tagforge.mockllm import MockLLMBackend
@@ -209,3 +210,24 @@ def test_refinement_failure_marks_node_and_continues(provider):
     assert state.tree.children[failed] == []
     # The two healthy siblings still got their sub-categories.
     assert len(state.tree.level_nodes(2)) == 6
+
+
+def test_outliers_a_review_sets_aside_are_logged(provider):
+    # One level-1 topic hidden from the first proposal and 15% of matches
+    # dropped: reviews run and approve IGNORE_AS_OUTLIERS proposals.
+    world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
+    gateway = make_gateway(world, seed=7, false_negative_rate=0.15,
+                           hidden=[world.taxonomy.level1[0]])
+    state = build_vocabulary(world.corpus, BuildConfig(d_max=3, tau_split=20, seed=7),
+                             gateway, provider)
+    assert gateway.ledger.calls(AgentRole.ARCHITECT, prompts.ARCHITECT_REVIEW) == 3
+    logs = {log.rule_id: log for log in state.logs}
+    flagged = [node for node in state.tree.nodes.values()
+               if node.status == STATUS_OUTLIERS_RECORDED]
+    assert flagged
+    for node in flagged:
+        outliers = logs[node.rule_id].outlier_items
+        assert outliers and outliers == sorted(outliers)
+        assert set(outliers) <= node.items
+    for log in state.logs:
+        assert log_from_json(json.loads(json.dumps(log.to_json()))) == log

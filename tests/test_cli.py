@@ -16,7 +16,7 @@ from tagforge.cli import dispatch
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import write_corpus, write_interactions
-from tagforge.runs import read_json, read_jsonl
+from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
 from conftest import OutageBackend
 
@@ -473,6 +473,49 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
     assert captured.err.startswith(f"ERR:config: config key {key!r} must be")
     # Rejected before the run directory, its lock or config.json is made.
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("key, stage", [("backend", "build-vocab"),
+                                        ("assign_mode", "assign"),
+                                        ("eval_mode", "evaluate"),
+                                        ("simulator", "critique-eval")])
+def test_value_outside_its_choices_is_config_error(tmp_path, capsys, small_world,
+                                                  key, stage):
+    config_path = _mock_config(tmp_path, small_world, **{key: "bogus"})
+    assert dispatch([stage, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"ERR:config: config key {key!r} must be")
+    # Rejected before the run directory, its lock or config.json is made.
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("http_endpoint", "http://b.invalid/v1"),
+                                        ("http_architect_model", "other"),
+                                        ("http_annotator_model", "other"),
+                                        ("http_temperature", 0.7)])
+def test_backend_identity_is_an_llm_stage_input(tmp_path, key, value):
+    base = {"run_dir": str(tmp_path / "run"), "backend": "http",
+            "http_endpoint": "http://a.invalid/v1", "simulator": "llm",
+            "corpus_path": str(tmp_path / "corpus.jsonl")}
+
+    def digest(payload, name):
+        cfg = cli.RunConfig.from_json(payload)
+        run = cli.StageRun(cfg, RunPaths(tmp_path / "run"), force=False)
+        return inputs_hash(*cli.STAGES[name].inputs(run))
+
+    for name in ("build-vocab", "assign", "baseline-freeform", "critique-eval"):
+        assert digest(base, name) != digest(base | {key: value}, name), name
+
+
+@pytest.mark.parametrize("stage", ["fit", "recommend", "evaluate", "critique-eval"])
+def test_decode_stage_names_the_missing_file(tmp_path, capsys, small_world, stage):
+    config_path = _mock_config(tmp_path, small_world)
+    assert dispatch([stage, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ERR:stage: splits.jsonl missing; run ingest first")
+    (tmp_path / "run" / "splits.jsonl").write_text("")
+    assert dispatch([stage, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ERR:stage: semids.jsonl missing; run encode first")
 
 
 def test_config_accepts_null_for_optional_fields(tmp_path, capsys):

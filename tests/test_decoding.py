@@ -300,7 +300,7 @@ def test_simulate_user_llm_parse_failure_falls_back(decode_setup):
     world, tree, _, table, _, _, _ = decode_setup
 
     class Junk:
-        def generate(self, prompt, decode=None):
+        def generate(self, prompt):
             return "nope"
 
     from tagforge.gateway import AgentRole, Gateway
@@ -309,15 +309,4 @@ def test_simulate_user_llm_parse_failure_falls_back(decode_setup):
     item_id = table.rows[0].item_id
     oracle = simulate_user(item_id, world.corpus, table, tree, mode="oracle")
     assert simulate_user(item_id, world.corpus, table, tree, mode="llm",
-                         gateway=gateway, fallback=True) == oracle
-    with pytest.raises(Exception):
-        simulate_user(item_id, world.corpus, table, tree, mode="llm",
-                      gateway=gateway, fallback=False)
-
-
-def test_simulate_user_k_nearest_expands_set(decode_setup, provider):
-    world, tree, _, table, _, _, _ = decode_setup
-    item_id = table.rows[0].item_id
-    allowed = simulate_user(item_id, world.corpus, table, tree, mode="oracle",
-                            k_nearest=2, provider=provider)
-    assert len(allowed) == 3
+                         gateway=gateway) == oracle

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tagforge.gateway import (AgentRole, BudgetExhaustedError, CallLedger,
-                              DecodeParams, Gateway, HttpBackend,
+                              Gateway, HttpBackend,
                               TransientBackendError, TransportExhaustedError,
                               fan_out)
 from tagforge.mockllm import MockLLMBackend
@@ -22,7 +22,7 @@ class FlakyBackend:
         self.failures = failures
         self.calls = 0
 
-    def generate(self, prompt, decode):
+    def generate(self, prompt):
         self.calls += 1
         if self.calls <= self.failures:
             raise TransientBackendError("HTTP 503")
@@ -91,7 +91,7 @@ def test_complete_parsed_reasks_then_fails():
         def __init__(self):
             self.calls = 0
 
-        def generate(self, prompt, decode):
+        def generate(self, prompt):
             self.calls += 1
             return "definitely not json"
 
@@ -108,7 +108,7 @@ def test_complete_parsed_recovers_on_reask():
         def __init__(self):
             self.calls = 0
 
-        def generate(self, prompt, decode):
+        def generate(self, prompt):
             self.calls += 1
             if self.calls == 1:
                 return "oops"
@@ -192,14 +192,14 @@ def test_parallelism_caps_calls_in_flight():
             self.active = 0
             self.peak = 0
 
-        def generate(self, prompt, decode):
+        def generate(self, prompt):
             with self.lock:
                 self.active += 1
                 self.peak = max(self.peak, self.active)
             time.sleep(0.02)
             with self.lock:
                 self.active -= 1
-            return self.inner.generate(prompt, decode)
+            return self.inner.generate(prompt)
 
     world = make_world(branching=(3,), n_items=24, seed=1)
     backend = SlowBackend(MockLLMBackend(world.taxonomy, seed=0))
@@ -273,8 +273,8 @@ def test_http_backend_request_and_parse(monkeypatch):
 
     monkeypatch.setenv("MY_KEY", "sekret")
     backend = HttpBackend("http://example.invalid/v1/chat", "modelx",
-                          auth_env="MY_KEY", session=FakeSession())
-    out = backend.generate("hi there", DecodeParams(temperature=0.25))
+                          auth_env="MY_KEY", temperature=0.25, session=FakeSession())
+    out = backend.generate("hi there")
     assert out == "reply!"
     assert captured["body"]["model"] == "modelx"
     assert captured["body"]["messages"] == [{"role": "user", "content": "hi there"}]
@@ -296,4 +296,4 @@ def test_http_backend_5xx_is_transient():
 
     backend = HttpBackend("http://example.invalid", "m", session=FakeSession())
     with pytest.raises(TransientBackendError):
-        backend.generate("x", DecodeParams())
+        backend.generate("x")

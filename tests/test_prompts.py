@@ -7,13 +7,11 @@ import pytest
 
 from tagforge import prompts, protocol
 from tagforge.prompts import PromptError, render_prompt, template_slots
-from tagforge.protocol import (APPROVED, CREATE_NEW_CATEGORY,
-                               EXPAND_EXISTING_CATEGORY, IGNORE_AS_OUTLIERS,
+from tagforge.protocol import (APPROVED, EXPAND_EXISTING_CATEGORY, IGNORE_AS_OUTLIERS,
                                CategoryProposal, ChangeProposal, ProtocolError,
                                ReviewDecision, parse_categories,
                                parse_change_proposal, parse_matched_rules,
-                               parse_reviews, serialize_categories,
-                               serialize_change_proposal)
+                               parse_reviews)
 
 from oracles import serialize_reviews
 
@@ -120,19 +118,20 @@ def test_parse_categories_missing_field():
 
 
 def test_parse_change_proposal_good_expand_example():
-    proposal = parse_change_proposal(GOOD_EXPAND)
+    proposal = parse_change_proposal(GOOD_EXPAND, "p1")
+    assert proposal.proposal_id == "p1"
     assert proposal.change_type == EXPAND_EXISTING_CATEGORY
-    assert proposal.rule_id_to_refine == "rule_a4368cef"
-    assert proposal.refined_description.startswith("Outdoor & Tactical Gear:")
+    assert proposal.change["rule_id_to_refine"] == "rule_a4368cef"
+    assert proposal.change["refined_description"].startswith("Outdoor & Tactical Gear:")
+    assert proposal.to_json() == json.loads(GOOD_EXPAND)
 
 
 def test_parse_change_proposal_ignore_variant():
     raw = ('{"change_type":"IGNORE_AS_OUTLIERS","problem_summary":"x",'
-           '"suggested_change":{"reason":"y"}}')
-    proposal = parse_change_proposal(raw)
+           '"suggested_change":{"reason":"y","new_rule_description":"z"}}')
+    proposal = parse_change_proposal(raw, "p1")
     assert proposal.change_type == IGNORE_AS_OUTLIERS
-    assert proposal.reason == "y"
-    assert proposal.new_rule_description is None
+    assert proposal.change == {"reason": "y"}
 
 
 def test_expand_without_excludes_token_rejected():
@@ -143,14 +142,14 @@ def test_expand_without_excludes_token_rejected():
                              "refined_description": "Gear: INCLUDES: things."},
     })
     with pytest.raises(ProtocolError, match="EXCLUDES"):
-        parse_change_proposal(raw)
+        parse_change_proposal(raw, "p1")
 
 
 def test_parse_change_proposal_unknown_type():
     raw = ('{"change_type":"DELETE_EVERYTHING","problem_summary":"x",'
            '"suggested_change":{"reason":"y"}}')
     with pytest.raises(ProtocolError):
-        parse_change_proposal(raw)
+        parse_change_proposal(raw, "p1")
 
 
 def test_parse_reviews_duplicate_id_is_error():
@@ -186,26 +185,19 @@ def test_round_trip_properties_random_instances():
             includes=tuple(_random_word(rng) for _ in range(rng.randint(0, 3))),
             excludes=tuple(_random_word(rng) for _ in range(rng.randint(0, 2))),
         ) for _ in range(rng.randint(1, 5))]
-        assert parse_categories(serialize_categories(cats)) == cats
+        raw = json.dumps({"categories": [
+            {"name": c.name, "description": c.description,
+             "includes": list(c.includes), "excludes": list(c.excludes)}
+            for c in cats]})
+        assert parse_categories(raw) == cats
 
-        kind = rng.choice([CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY,
-                           IGNORE_AS_OUTLIERS])
-        if kind == CREATE_NEW_CATEGORY:
-            proposal = ChangeProposal(
-                proposal_id="prop_00000000", change_type=kind,
-                problem_summary=_random_word(rng),
-                new_rule_description=f"{_random_word(rng)}: INCLUDES: a. EXCLUDES: b.")
-        elif kind == EXPAND_EXISTING_CATEGORY:
-            proposal = ChangeProposal(
-                proposal_id="prop_00000000", change_type=kind,
-                problem_summary=_random_word(rng),
-                rule_id_to_refine="rule_0a0b0c0d",
-                refined_description=f"{_random_word(rng)}: INCLUDES: a. EXCLUDES: b.")
-        else:
-            proposal = ChangeProposal(
-                proposal_id="prop_00000000", change_type=kind,
-                problem_summary=_random_word(rng), reason=_random_word(rng))
-        parsed = parse_change_proposal(serialize_change_proposal(proposal),
+        kind = rng.choice(sorted(protocol.CHANGE_FIELDS))
+        proposal = ChangeProposal(
+            proposal_id="prop_00000000", change_type=kind,
+            problem_summary=_random_word(rng),
+            change={key: f"{_random_word(rng)}: INCLUDES: a. EXCLUDES: b."
+                    for key in protocol.CHANGE_FIELDS[kind]})
+        parsed = parse_change_proposal(json.dumps(proposal.to_json()),
                                        proposal_id="prop_00000000")
         assert parsed == proposal
 

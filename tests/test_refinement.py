@@ -24,9 +24,9 @@ class RecordingBackend:
         self.inner = inner
         self.prompts: list[str] = []
 
-    def generate(self, prompt, decode=None):
+    def generate(self, prompt):
         self.prompts.append(prompt)
-        return self.inner.generate(prompt, decode)
+        return self.inner.generate(prompt)
 
 
 def fresh_tree(world) -> VocabularyTree:
@@ -68,7 +68,7 @@ def test_init_prompt_carries_default_target_rule_count(small_world, provider):
 
 def test_init_deduplicates_category_names(small_world, provider):
     class DupBackend:
-        def generate(self, prompt, decode=None):
+        def generate(self, prompt):
             return json.dumps({"categories": [
                 {"name": "Gear", "description": "Gear: INCLUDES: a. EXCLUDES: b."},
                 {"name": "gear", "description": "gear: INCLUDES: c. EXCLUDES: d."},
@@ -167,7 +167,7 @@ def test_propose_changes_single_missing_category(provider):
         gateway, provider)
     assert len(proposals) == 1
     assert proposals[0].change_type == CREATE_NEW_CATEGORY
-    assert missing in proposals[0].new_rule_description
+    assert missing in proposals[0].change["new_rule_description"]
     assert len(proposal_items[proposals[0].proposal_id]) == 50
     assert notes == []
 
@@ -185,7 +185,7 @@ def test_propose_changes_two_missing_categories(provider):
                                       tree.root, 1, BuildConfig(), gateway,
                                       provider)
     assert 1 <= len(proposals) <= 2
-    proposed = {p.new_rule_description.split(":")[0] for p in proposals}
+    proposed = {p.change["new_rule_description"].split(":")[0] for p in proposals}
     assert proposed <= missing
     assert len(proposed) == len(proposals)
 
@@ -198,8 +198,8 @@ def test_review_and_apply_create_adds_node(small_world):
     proposal = ChangeProposal(
         proposal_id="prop_00000001", change_type=CREATE_NEW_CATEGORY,
         problem_summary="gap",
-        new_rule_description="Order Book Analysis: INCLUDES: depth charts. "
-                             "EXCLUDES: price history.")
+        change={"new_rule_description": "Order Book Analysis: INCLUDES: depth "
+                                        "charts. EXCLUDES: price history."})
     before = len(children)
     decisions, notes, outliers, flagged = review_and_apply(
         [proposal], tree.root, children, tree, {}, gateway)
@@ -222,8 +222,8 @@ def test_review_and_apply_expand_appendix_example(small_world):
                "EXCLUDES: Specialized sporting equipment, firearms, and knives.")
     proposal = ChangeProposal(
         proposal_id="prop_00000002", change_type=EXPAND_EXISTING_CATEGORY,
-        problem_summary="too generic", rule_id_to_refine="rule_a4368cef",
-        refined_description=refined)
+        problem_summary="too generic",
+        change={"rule_id_to_refine": "rule_a4368cef", "refined_description": refined})
     review_and_apply([proposal], tree.root, children, tree, {}, gateway)
     assert target.name == "Outdoor & Tactical Gear"
     assert target.description == refined
@@ -235,8 +235,9 @@ def test_review_and_apply_unknown_rule_auto_rejected(small_world):
     gateway = make_gateway(small_world)
     proposal = ChangeProposal(
         proposal_id="prop_00000003", change_type=EXPAND_EXISTING_CATEGORY,
-        problem_summary="s", rule_id_to_refine="rule_ffffffff",
-        refined_description="X: INCLUDES: a. EXCLUDES: b.")
+        problem_summary="s",
+        change={"rule_id_to_refine": "rule_ffffffff",
+                "refined_description": "X: INCLUDES: a. EXCLUDES: b."})
     decisions, notes, _, _ = review_and_apply([proposal], tree.root, children,
                                               tree, {}, gateway)
     assert decisions[0].decision == REJECTED
@@ -249,10 +250,10 @@ def test_review_parse_failure_rejects_all(small_world):
         def __init__(self, inner):
             self.inner = inner
 
-        def generate(self, prompt, decode=None):
+        def generate(self, prompt):
             if "senior taxonomy manager" in prompt:
                 return "I refuse to answer in JSON."
-            return self.inner.generate(prompt, decode)
+            return self.inner.generate(prompt)
 
     backend = JunkReview(MockLLMBackend(small_world.taxonomy))
     gateway = Gateway({AgentRole.ARCHITECT: backend,
@@ -261,7 +262,7 @@ def test_review_parse_failure_rejects_all(small_world):
     children = level1_nodes(small_world, tree)
     proposal = ChangeProposal(
         proposal_id="prop_00000004", change_type=IGNORE_AS_OUTLIERS,
-        problem_summary="s", reason="noise")
+        problem_summary="s", change={"reason": "noise"})
     decisions, notes, _, _ = review_and_apply([proposal], tree.root, children,
                                               tree, {}, gateway)
     assert [d.decision for d in decisions] == [REJECTED]
@@ -348,7 +349,7 @@ def test_refine_log_is_byte_identical_across_runs(provider):
 
 def test_refine_empty_init_vocabulary_raises(provider):
     class EmptyBackend:
-        def generate(self, prompt, decode=None):
+        def generate(self, prompt):
             return json.dumps({"categories": []})
 
     world = make_world(branching=(2,), n_items=60, seed=1)

@@ -2,7 +2,10 @@
 submitted the work as its parent, by swapping the ``ThreadPoolExecutor`` name
 in each module that fans out per-item calls. This checks that every batch
 still opens its pool through that name, so that every gateway call made by
-a batch is traced under the batch's span."""
+a batch is traced under the batch's span. ``tracing.installed`` looks up
+every name it wraps on entry (``Gateway.complete``,
+``MockLLMBackend.generate``, ``builder.save_checkpoint`` and the rest), so a
+rename of any of them fails this test too."""
 
 from __future__ import annotations
 
