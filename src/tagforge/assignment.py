@@ -90,7 +90,6 @@ class VocabStats:
 
 def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
                  parallelism: int = 8, mode: str = "per-level",
-                 item_text_budget: int = 1500,
                  annotations: Annotations | None = None) -> list[AssignmentRecord]:
     """Assign a descriptor path to every item (resolver left unset).
 
@@ -109,8 +108,7 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
               if mode == "per-level" else _one_shot)
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = fan_out(pool, lambda item: worker(item, tree, gateway,
-                                                    item_text_budget), items)
+        results = fan_out(pool, lambda item: worker(item, tree, gateway), items)
     max_depth = tree.max_depth()
     records = []
     for item, rec in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
@@ -122,7 +120,7 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     return records
 
 
-def _descend(item, tree: VocabularyTree, gateway: Gateway, budget: int,
+def _descend(item, tree: VocabularyTree, gateway: Gateway,
              annotations: Annotations) -> AssignmentRecord:
     node = tree.root
     path: list[str] = []
@@ -137,7 +135,7 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway, budget: int,
         else:
             prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
                 "rules_text": wire.rules_text(children),
-                "item_text": wire.item_line(item.item_id, item.prompt_text(budget)),
+                "item_text": wire.item_line(item.item_id, item.prompt_text()),
                 "instruction": prompts.ASSIGN_BEST_INSTRUCTION,
             })
             try:
@@ -159,13 +157,12 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway, budget: int,
     return AssignmentRecord(item_id=item.item_id, path=tuple(path), flag=flag)
 
 
-def _one_shot(item, tree: VocabularyTree, gateway: Gateway,
-              budget: int) -> AssignmentRecord:
+def _one_shot(item, tree: VocabularyTree, gateway: Gateway) -> AssignmentRecord:
     lines = [wire.rule_line(n.rule_id, n.name, n.description, indent=n.depth - 1)
              for n in tree.descriptor_nodes()]
     prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
         "rules_text": "\n".join(lines),
-        "item_text": wire.item_line(item.item_id, item.prompt_text(budget)),
+        "item_text": wire.item_line(item.item_id, item.prompt_text()),
         "instruction": prompts.ASSIGN_PATH_INSTRUCTION,
     })
     flag = None

@@ -4,7 +4,9 @@ Breadth-first over the tree: every node whose item set reaches the split
 threshold is refined into children, items are routed into children under
 the configured branching factor, and a checkpoint lands after every
 completed node so an interrupted build resumes without re-refining
-anything already committed.
+anything already committed. The gateway saves its ledger just before each
+checkpoint, so after a hard kill the ledger counts every call the
+checkpoint records.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class BuildReport:
     degenerate_splits: list[str] = field(default_factory=list)
     residue: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BuildState:
@@ -46,7 +45,6 @@ class BuildState:
     completed: set[str]
     logs: list[RefinementLog]
     report: BuildReport
-    ledger_snapshot: dict | None = None
     annotations: dict[str, dict[str, list[str]]] = field(default_factory=dict)
     inputs_hash: str | None = None  # digest of the build inputs it is for
 
@@ -74,16 +72,14 @@ def branch_items(assignments: dict[str, list[str]], branching_factor: int,
     return routed
 
 
-def save_checkpoint(path: str | Path, state: BuildState,
-                    ledger=None) -> None:
+def save_checkpoint(path: str | Path, state: BuildState) -> None:
     payload = {
         "tree": state.tree.to_json(),
         "items": {rid: sorted(node.items)
                   for rid, node in state.tree.nodes.items()},
         "completed": sorted(state.completed),
-        "logs": [log.to_json() for log in state.logs],
-        "report": state.report.to_json(),
-        "ledger": ledger.snapshot() if ledger is not None else None,
+        "logs": [asdict(log) for log in state.logs],
+        "report": asdict(state.report),
         "annotations": state.annotations,
         "inputs_hash": state.inputs_hash,
     }
@@ -93,17 +89,9 @@ def save_checkpoint(path: str | Path, state: BuildState,
 def load_checkpoint(path: str | Path) -> BuildState:
     payload = read_json(path)
     tree = VocabularyTree.from_json(payload["tree"], payload["items"])
-    report_raw = payload.get("report", {})
-    report = BuildReport(
-        nodes_refined=list(report_raw.get("nodes_refined", [])),
-        nodes_failed=list(report_raw.get("nodes_failed", [])),
-        degenerate_splits=list(report_raw.get("degenerate_splits", [])),
-        residue={k: int(v) for k, v in report_raw.get("residue", {}).items()},
-    )
-    logs = [log_from_json(row) for row in payload.get("logs", [])]
     return BuildState(tree=tree, completed=set(payload["completed"]),
-                      logs=logs, report=report,
-                      ledger_snapshot=payload.get("ledger"),
+                      logs=[log_from_json(row) for row in payload["logs"]],
+                      report=BuildReport(**payload["report"]),
                       annotations=payload.get("annotations", {}),
                       inputs_hash=payload.get("inputs_hash"))
 
@@ -114,9 +102,10 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                      inputs_hash: str | None = None) -> BuildState:
     """Run the full hierarchical build; returns the final state.
 
-    With a ``checkpoint_path``, state is persisted after every committed
-    node; on :class:`BudgetExhaustedError` or :class:`TransportExhaustedError`
-    the partial state is saved and :class:`BuildInterrupted` is raised.
+    With a ``checkpoint_path``, the gateway's ledger and then the state are
+    persisted after every committed node; on :class:`BudgetExhaustedError`
+    or :class:`TransportExhaustedError` both are saved and
+    :class:`BuildInterrupted` is raised.
     Pass a loaded checkpoint as ``resume_state`` to continue a prior run:
     completed nodes are skipped without issuing any calls. A fresh state
     records ``inputs_hash`` in its checkpoints.
@@ -130,6 +119,13 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                            report=BuildReport(), inputs_hash=inputs_hash)
     tree = state.tree
 
+    def checkpoint() -> None:
+        # The ledger first: after a kill between the two writes it counts
+        # more calls than the checkpoint holds, never fewer.
+        if checkpoint_path is not None:
+            gateway.save_ledger()
+            save_checkpoint(checkpoint_path, state)
+
     for depth in range(1, config.d_max + 1):
         parents = [n for n in tree.level_nodes(depth - 1)
                    if len(n.items) >= config.tau_split]
@@ -142,8 +138,7 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                 result = refine([corpus.get(i) for i in sorted(parent.items)],
                                 parent, tree, config, gateway, provider)
             except (BudgetExhaustedError, TransportExhaustedError) as exc:
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, state, gateway.ledger)
+                checkpoint()
                 raise BuildInterrupted(str(exc)) from exc
             except RefinementError as exc:
                 state.report.nodes_failed.append(parent.rule_id)
@@ -152,12 +147,10 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                     rule_id=parent.rule_id, depth=parent.depth,
                     n_items=len(parent.items), notes=[f"failed: {exc}"]))
                 state.completed.add(parent.rule_id)
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, state, gateway.ledger)
+                checkpoint()
                 continue
             _commit(tree, parent, result, config, state)
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, state, gateway.ledger)
+            checkpoint()
     tree.validate()
     return state
 

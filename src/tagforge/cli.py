@@ -7,7 +7,8 @@ baseline-freeform, report, resume. Config comes from a JSON file
 flag and file values pass the same checks of :meth:`RunConfig.from_json`.
 Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
 skips it when the run manifest says its inputs are unchanged and owns the
-ledger save and the exit codes; a lock file keeps writers exclusive.
+gateway's close (which saves the ledger) and the exit codes; a lock file
+keeps writers exclusive.
 """
 
 from __future__ import annotations
@@ -213,12 +214,9 @@ def make_gateway(cfg: RunConfig, paths: RunPaths) -> Gateway:
                 cfg.http_endpoint, cfg.http_annotator_model or "annotator",
                 auth_env=cfg.http_auth_env, temperature=cfg.http_temperature),
         }
-    ledger = CallLedger()
-    if paths.ledger.exists():
-        ledger.load_jsonl(paths.ledger)
     return Gateway(backends, max_retries=cfg.max_retries,
                    backoff_base=cfg.backoff_base, max_calls=cfg.budget_max_calls,
-                   transcript_path=paths.transcript, ledger=ledger)
+                   transcript_path=paths.transcript, ledger_path=paths.ledger)
 
 
 class StageRun:
@@ -259,11 +257,12 @@ def _stage(name: str, inputs, outputs):
 
 
 def run_stage(stage: Stage, run: StageRun) -> int:
-    """digest -> skip if current -> body -> save ledger -> mark.
+    """digest -> skip if current -> body -> close gateway -> mark.
 
-    The one failure path of every stage: the ledger is saved whether the
-    body finishes or stops, and an exhausted call budget or transport ends
-    in exit 3 with the stage left unmarked, so that a re-run continues it.
+    The one failure path of every stage: the gateway is closed, which saves
+    the ledger, whether the body finishes or stops, and an exhausted call
+    budget or transport ends in exit 3 with the stage left unmarked, so that
+    a re-run continues it.
     """
     digest = inputs_hash(*stage.inputs(run))
     outputs = stage.outputs(run)
@@ -281,7 +280,6 @@ def run_stage(stage: Stage, run: StageRun) -> int:
                        f"{stage.name} stopped (re-run the stage): {exc}", 3) from exc
     finally:
         if run.made_gateway is not None:
-            run.made_gateway.ledger.save_jsonl(run.paths.ledger)
             run.made_gateway.close()
     mark_stage(run.paths, stage.name, digest, outputs)
     print(summary)
@@ -397,10 +395,6 @@ def _build_vocab(run: StageRun) -> str:
         saved = load_checkpoint(paths.checkpoint)
         if saved.inputs_hash == run.inputs_hash:
             resume_state = saved
-            if not paths.ledger.exists() and saved.ledger_snapshot:
-                # Hard kill before the ledger file landed: the checkpoint
-                # carries the counters.
-                run.gateway.ledger.load_snapshot(saved.ledger_snapshot)
             print(f"resuming: {len(saved.completed)} nodes already done")
     state = build_vocabulary(corpus, cfg.build_config, run.gateway,
                              HashingProvider(dim=cfg.embed_dim),
@@ -411,9 +405,9 @@ def _build_vocab(run: StageRun) -> str:
                 ({"rule_id": rule_id, "matched": matched}
                  for rule_id, matched in sorted(state.annotations.items())),
                 sort_keys=True)
-    write_jsonl(paths.refinement_logs, (log.to_json() for log in state.logs),
+    write_jsonl(paths.refinement_logs, (asdict(log) for log in state.logs),
                 sort_keys=True)
-    report = state.report.to_json()
+    report = asdict(state.report)
     report["n_semid"] = f"{state.tree.max_depth()}+1"
     report["n_descriptors"] = len(state.tree.descriptor_nodes())
     write_json(paths.build_report, report, indent=2, sort_keys=True)
@@ -518,22 +512,29 @@ def _evaluate(run: StageRun) -> str:
                      run.cfg.eval_ks, run.cfg.seed, run.cfg.beam_width),
         lambda run: [run.paths.reports / "critique_eval.json"])
 def _critique_eval(run: StageRun) -> str:
+    """A target without a level-1 descriptor (one a review set aside) has
+    no section to critique toward: its user is decoded unconstrained in the
+    constrained arm too, no simulator is asked, and ``n_unconstrained``
+    counts such users."""
     cfg, paths = run.cfg, run.paths
     split, table, model, trie = _decode_setup(paths)
     tree = _load_tree(paths)
     corpus = load_corpus(_corpus_source(run))
     gateway = run.gateway if cfg.simulator == "llm" else None
-    known = {row.item_id for row in table.rows}
+    path_of = {row.item_id: row.path_names for row in table.rows}
+    targets = {user_id: target for user_id, target in sorted(split.test.items())
+               if target in path_of}
     # The plain run goes first: it rejects bad cutoffs before any simulator call.
     vanilla = _run_eval(run, model, trie, split, table, mode="full")
     allowed_by_user = {
         user_id: dec.simulate_user(target, corpus, table, tree,
                                    mode=cfg.simulator, gateway=gateway)
-        for user_id, target in sorted(split.test.items()) if target in known}
+        for user_id, target in targets.items() if path_of[target]}
     constrained = _run_eval(run, model, trie, split, table, mode="full",
                             allowed_level1_by_user=allowed_by_user)
     payload = {"simulator": cfg.simulator, "vanilla": vanilla.to_json(),
-               "constrained": constrained.to_json()}
+               "constrained": constrained.to_json(),
+               "n_unconstrained": len(targets) - len(allowed_by_user)}
     write_json(paths.reports / "critique_eval.json", payload, indent=2,
                sort_keys=True)
     return ("critique-eval: "

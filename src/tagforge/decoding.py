@@ -112,18 +112,10 @@ class SurrogateModel:
             return count / total
         return (count + self.alpha) / (total + self.alpha * self.vocab_size)
 
-    def prob(self, token: int, context: tuple[int, ...]) -> float:
-        """P(token | last order-1 context tokens), additive smoothing.
-
-        With alpha = 0 an unseen context falls back to the uniform
-        distribution over the vocabulary.
-        """
-        ctx = context[-(self.order - 1):] if self.order > 1 else ()
-        return self._smoothed(self.counts.get(ctx, {}).get(token, 0),
-                              self.context_totals.get(ctx, 0))
-
     def logprob(self, token: int, context: tuple[int, ...]) -> float:
-        """``log(prob(token, context))``, ``-inf`` for probability 0.
+        """log P(token | last order-1 context tokens) under additive
+        smoothing, ``-inf`` for probability 0. With alpha = 0 an unseen
+        context falls back to the uniform distribution over the vocabulary.
 
         Served from a per-context row built on first use: one entry per
         token observed after the context and one value shared by every

@@ -3,12 +3,13 @@
 A backend is any object with ``generate(prompt) -> str``; whatever else it
 needs (model, temperature) it takes at construction. A :class:`Gateway` owns
 one backend per role, a thread-safe call ledger, a retry policy for transient
-transport failures, an optional global call budget, and an optional
-transcript log, opened on the first call and kept open until
-:meth:`Gateway.close`. ``complete_parsed`` layers the re-ask policy for
-malformed responses on top. :func:`fan_out` runs one batch of per-item calls
-on a caller's pool, whose width (``parallelism``) is the one cap on calls in
-flight.
+transport failures, an optional global call budget, and two optional files:
+the ledger, loaded when the gateway is made and saved by
+:meth:`Gateway.save_ledger` and :meth:`Gateway.close`, and the transcript
+log, opened on the first call and kept open until :meth:`Gateway.close`.
+``complete_parsed`` layers the re-ask policy for malformed responses on top.
+:func:`fan_out` runs one batch of per-item calls on a caller's pool, whose
+width (``parallelism``) is the one cap on calls in flight.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ class GatewayError(RuntimeError):
 
 
 class TransientBackendError(GatewayError):
-    """Retryable transport failure (5xx, timeouts, connection errors)."""
+    """Retryable transport failure (5xx, 408, 429, timeouts, connection
+    errors)."""
 
 
 class BackendRefusalError(GatewayError):
-    """Non-retryable backend failure (4xx or explicit refusal)."""
+    """Non-retryable backend failure (any other 4xx, or explicit refusal)."""
 
 
 class TransportExhaustedError(GatewayError):
@@ -120,22 +122,14 @@ class CallLedger:
         write_jsonl(path, rows())
 
     def load_jsonl(self, path: str | Path) -> None:
-        """Merge previously persisted counters (used on resume)."""
-        for row in read_jsonl(path):
-            self._merge(row["role"], row["template_id"], row)
-
-    def load_snapshot(self, snapshot: dict[str, dict[str, int]]) -> None:
-        """Merge a snapshot() dict (used when resuming from a checkpoint)."""
-        for key, row in snapshot.items():
-            role, template_id = key.split("/", 1)
-            self._merge(role, template_id, row)
-
-    def _merge(self, role: str, template_id: str, row: dict) -> None:
+        """Merge previously persisted counters (a gateway's saved ledger)."""
         with self._lock:
-            stats = self._stats.setdefault((role, template_id), CallStats())
-            stats.calls += int(row.get("calls", 0))
-            stats.retries += int(row.get("retries", 0))
-            stats.token_estimate += int(row.get("token_estimate", 0))
+            for row in read_jsonl(path):
+                stats = self._stats.setdefault((row["role"], row["template_id"]),
+                                               CallStats())
+                stats.calls += int(row.get("calls", 0))
+                stats.retries += int(row.get("retries", 0))
+                stats.token_estimate += int(row.get("token_estimate", 0))
 
 
 class HttpBackend:
@@ -171,7 +165,7 @@ class HttpBackend:
                                       headers=headers, timeout=self.timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
             raise TransientBackendError(str(exc)) from exc
-        if resp.status_code >= 500:
+        if resp.status_code >= 500 or resp.status_code in (408, 429):
             raise TransientBackendError(f"HTTP {resp.status_code}")
         if resp.status_code >= 400:
             raise BackendRefusalError(f"HTTP {resp.status_code}: {resp.text[:200]}")
@@ -201,19 +195,24 @@ class Gateway:
     """Role-routed LLM transport with ledger, retries, budget and transcript.
 
     Thread-safe: batches call it from pool threads through :func:`fan_out`,
-    and the pool's width bounds how many calls are in flight.
+    and the pool's width bounds how many calls are in flight. With a
+    ``ledger_path`` the counters already saved there are loaded, so the
+    file always holds the run's total.
     """
 
     def __init__(self, backends: dict[AgentRole, object],
                  max_retries: int = 3, backoff_base: float = 0.5,
                  max_calls: int | None = None,
                  transcript_path: str | Path | None = None,
-                 ledger: CallLedger | None = None):
+                 ledger_path: str | Path | None = None):
         self._backends = dict(backends)
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.max_calls = max_calls
-        self.ledger = ledger or CallLedger()
+        self.ledger = CallLedger()
+        self._ledger_path = Path(ledger_path) if ledger_path else None
+        if self._ledger_path is not None and self._ledger_path.exists():
+            self.ledger.load_jsonl(self._ledger_path)
         self._budget_lock = threading.Lock()
         self._calls_admitted = 0
         self._transcript_path = Path(transcript_path) if transcript_path else None
@@ -289,8 +288,15 @@ class Gateway:
             # Flushed per line: a killed process loses at most this line.
             self._transcript.flush()
 
+    def save_ledger(self) -> None:
+        """Write the counters to the ledger file, if the gateway has one."""
+        if self._ledger_path is not None:
+            self.ledger.save_jsonl(self._ledger_path)
+
     def close(self) -> None:
-        """Close the transcript; idempotent. A later call reopens it."""
+        """Save the ledger and close the transcript; idempotent. A later
+        call reopens the transcript."""
+        self.save_ledger()
         with self._transcript_lock:
             if self._transcript is not None:
                 self._transcript.close()

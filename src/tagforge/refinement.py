@@ -67,7 +67,8 @@ class CycleRecord:
 
 @dataclass
 class RefinementLog:
-    """``outlier_items``: the items of approved IGNORE_AS_OUTLIERS proposals."""
+    """``outlier_items``: the items of approved IGNORE_AS_OUTLIERS proposals.
+    Written out with ``dataclasses.asdict``, read back by :func:`log_from_json`."""
 
     rule_id: str
     depth: int
@@ -75,22 +76,6 @@ class RefinementLog:
     notes: list[str] = field(default_factory=list)
     cycles: list[CycleRecord] = field(default_factory=list)
     outlier_items: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "depth": self.depth,
-            "n_items": self.n_items,
-            "notes": self.notes,
-            "outlier_items": self.outlier_items,
-            "cycles": [
-                {"cycle": c.cycle, "coverage": c.coverage,
-                 "n_unassigned": c.n_unassigned, "proposals": c.proposals,
-                 "decisions": c.decisions, "vocab_before": c.vocab_before,
-                 "vocab_after": c.vocab_after}
-                for c in self.cycles
-            ],
-        }
 
 
 @dataclass
@@ -102,17 +87,9 @@ class RefineResult:
 
 
 def log_from_json(row: dict) -> RefinementLog:
-    log = RefinementLog(rule_id=row["rule_id"], depth=row["depth"],
-                        n_items=row["n_items"], notes=list(row.get("notes", [])),
-                        outlier_items=list(row.get("outlier_items", [])))
-    for c in row.get("cycles", []):
-        log.cycles.append(CycleRecord(
-            cycle=c["cycle"], coverage=c["coverage"],
-            n_unassigned=c["n_unassigned"], proposals=c.get("proposals", []),
-            decisions=c.get("decisions", []),
-            vocab_before=c.get("vocab_before", 0),
-            vocab_after=c.get("vocab_after", 0)))
-    return log
+    """The inverse of ``dataclasses.asdict`` on a :class:`RefinementLog`."""
+    return RefinementLog(**{**row, "cycles": [CycleRecord(**c)
+                                              for c in row.get("cycles", [])]})
 
 
 def _make_proposal_id(parent_id: str, cycle: int, index: int) -> str:
@@ -132,10 +109,8 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
     The root is served by the architect's init prompt; deeper nodes use the
     annotator's sub-category proposal prompt.
     """
-    budget = config.item_text_budget
     sample = distill_items(items, config.n_target_rules, provider, config.seed)
-    sample_text = wire.items_text(
-        (it.item_id, it.prompt_text(budget)) for it in sample)
+    sample_text = wire.items_text((it.item_id, it.prompt_text()) for it in sample)
     if parent.depth == 0:
         prompt = prompts.render_prompt(prompts.ARCHITECT_INIT, {
             "parent_rule_description": parent.description,
@@ -184,8 +159,7 @@ def distill_items(items: list[Item], k: int, provider, seed: int) -> list[Item]:
 
 
 def parallel_assign(items: list[Item], rules: list[DescriptorNode],
-                    gateway: Gateway, parallelism: int = 8,
-                    item_text_budget: int = 1500) -> AssignOutcome:
+                    gateway: Gateway, parallelism: int = 8) -> AssignOutcome:
     """One annotation call per item against the full candidate rule list.
 
     Per-item transport failures become unassigned-with-report and never
@@ -199,8 +173,7 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
     def annotate(item: Item) -> tuple[list[str], str | None]:
         prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
             "rules_text": rules_text,
-            "item_text": wire.item_line(item.item_id,
-                                        item.prompt_text(item_text_budget)),
+            "item_text": wire.item_line(item.item_id, item.prompt_text()),
             "instruction": prompts.ASSIGN_MULTI_INSTRUCTION,
         })
         matched, reason = gateway.complete_parsed(
@@ -265,8 +238,7 @@ def propose_changes(reports: list[ErrorReport], rules: list[DescriptorNode],
         examples = member_items[:config.ticket_examples_cap]
         report_of = {iid: t for t in texts for iid in by_text[t]}
         ticket_lines = "\n".join(
-            wire.ticket_line(iid, items_by_id[iid].prompt_text(
-                config.item_text_budget), report_of[iid])
+            wire.ticket_line(iid, items_by_id[iid].prompt_text(), report_of[iid])
             for iid in examples)
         prompt = prompts.render_prompt(prompts.ANNOTATOR_ERROR_FEEDBACK, {
             "len(ticket_cluster)": str(len(member_items)),
@@ -387,8 +359,7 @@ def refine(items: list[Item], parent: DescriptorNode, tree: VocabularyTree,
     parent_status: str | None = None
     for cycle in range(1, config.c_max + 1):
         outcome = parallel_assign(items, children, gateway,
-                                  parallelism=config.parallelism,
-                                  item_text_budget=config.item_text_budget)
+                                  parallelism=config.parallelism)
         record = CycleRecord(cycle=cycle, coverage=outcome.coverage,
                              n_unassigned=len(outcome.unassigned),
                              vocab_before=len(children),

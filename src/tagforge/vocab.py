@@ -203,7 +203,6 @@ class BuildConfig:
     ticket_examples_cap: int = 20
     seed: int = 7
     parallelism: int = 8
-    item_text_budget: int = 1500
 
     def __post_init__(self) -> None:
         if self.d_max < 1:

@@ -87,6 +87,20 @@ def reference_k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
         return clustering.k_medoids(vectors, k, seed=seed, **kwargs)
 
 
+def surrogate_prob(model: SurrogateModel, token: int,
+                   context: tuple[int, ...]) -> float:
+    """P(token | last order-1 context tokens) from the raw counts, additive
+    smoothing; with alpha = 0 an unseen context falls back to the uniform
+    distribution. The reference ``SurrogateModel.logprob`` is checked against."""
+    ctx = tuple(context[-(model.order - 1):]) if model.order > 1 else ()
+    row = model.counts.get(ctx, {})
+    total = sum(row.values())
+    if model.alpha == 0.0 and total == 0:
+        return 1.0 / model.vocab_size
+    return ((row.get(token, 0) + model.alpha)
+            / (total + model.alpha * model.vocab_size))
+
+
 def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
                    table: SemidTable,
                    allowed_level1: set[int] | None = None) -> list[tuple[str, float]]:

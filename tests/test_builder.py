@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -11,6 +12,7 @@ from tagforge.builder import (BuildInterrupted, branch_items, build_vocabulary,
 from tagforge.gateway import AgentRole
 from tagforge.planted import make_world
 from tagforge.refinement import log_from_json
+from tagforge.runs import read_json, read_jsonl
 from tagforge.vocab import STATUS_OUTLIERS_RECORDED, BuildConfig
 
 from conftest import make_gateway
@@ -156,15 +158,17 @@ def test_interrupt_and_resume_no_duplicate_refinements(tmp_path, provider):
     full_tree = json.dumps(full_state.tree.to_json(), sort_keys=True)
 
     ckpt = tmp_path / "ckpt.json"
-    limited = make_gateway(world, max_calls=300)
+    ledger_path = tmp_path / "ledger.jsonl"
+    limited = make_gateway(world, max_calls=300, ledger_path=ledger_path)
     with pytest.raises(BuildInterrupted):
         build_vocabulary(world.corpus, config, limited, provider,
                          checkpoint_path=ckpt)
     state1 = load_checkpoint(ckpt)
     assert 0 < len(state1.completed) < len(full_state.completed)
-    # The checkpoint carries the call counters for hard-kill recovery.
-    assert state1.ledger_snapshot
-    assert sum(row["calls"] for row in state1.ledger_snapshot.values()) > 0
+    # The ledger file, saved with the checkpoint and before any close,
+    # holds every call; the checkpoint holds no counters.
+    assert sum(row["calls"] for row in read_jsonl(ledger_path)) == 300
+    assert "ledger" not in read_json(ckpt)
     run1_nodes = list(state1.report.nodes_refined)
 
     resumed_gateway = make_gateway(world)
@@ -230,4 +234,4 @@ def test_outliers_a_review_sets_aside_are_logged(provider):
         assert outliers and outliers == sorted(outliers)
         assert set(outliers) <= node.items
     for log in state.logs:
-        assert log_from_json(json.loads(json.dumps(log.to_json()))) == log
+        assert log_from_json(json.loads(json.dumps(asdict(log)))) == log

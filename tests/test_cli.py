@@ -8,6 +8,7 @@ import shutil
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from tagforge import cli
 from tagforge.cli import dispatch
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
-from tagforge.corpus import write_corpus, write_interactions
+from tagforge.corpus import read_splits, write_corpus, write_interactions
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
 from conftest import OutageBackend
@@ -78,6 +79,44 @@ def test_critique_report_contains_both_arms(workspace):
     assert set(payload["vanilla"]["ndcg"]) == set(payload["constrained"]["ndcg"])
     for k, vanilla in payload["vanilla"]["ndcg"].items():
         assert payload["constrained"]["ndcg"][k] >= vanilla
+
+
+@pytest.fixture(scope="module")
+def review_run(tmp_path_factory):
+    """A world where one level-1 topic is hidden from the first proposal and
+    15% of matches are dropped: reviews set items aside, so some test
+    targets get an empty path. Built up to ``fit``."""
+    root = tmp_path_factory.mktemp("review")
+    world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
+    interactions = root / "interactions.jsonl"
+    write_interactions(make_interactions(world, n_users=60, seed=8), interactions)
+    config_path = _mock_config(
+        root, world, interactions_path=str(interactions),
+        build={"d_max": 3, "tau_split": 20},
+        mock_hidden_categories=[world.taxonomy.level1[0]],
+        mock_false_negative_rate=0.15)
+    for stage in ("ingest", "build-vocab", "assign", "encode", "fit"):
+        assert run(config_path, stage) == 0, stage
+    return root, config_path
+
+
+@pytest.mark.parametrize("simulator", ["oracle", "llm"])
+def test_critique_eval_leaves_pathless_targets_unconstrained(review_run, simulator):
+    root, config_path = review_run
+    run_dir = root / "run"
+    assert run(config_path, "critique-eval", "--simulator", simulator) == 0
+    path_of = {row["item_id"]: row["path_names"]
+               for row in read_jsonl(run_dir / "semids.jsonl")}
+    targets = [target for target in read_splits(run_dir / "splits.jsonl").test.values()
+               if target in path_of]
+    pathless = sum(1 for target in targets if not path_of[target])
+    payload = read_json(run_dir / "reports/critique_eval.json")
+    assert pathless > 0
+    assert payload["n_unconstrained"] == pathless
+    assert payload["constrained"]["n_users"] == payload["vanilla"]["n_users"]
+    asked = sum(row["calls"] for row in read_jsonl(run_dir / "ledger.jsonl")
+                if row["template_id"] == "UserSimulator")
+    assert asked == (len(targets) - pathless if simulator == "llm" else 0)
 
 
 def test_stages_are_idempotent(workspace, capsys):
@@ -174,6 +213,57 @@ def test_build_vocab_continues_its_own_checkpoint(tmp_path, capsys):
     # Finished nodes are not asked again: the second run issues fewer calls
     # than a whole build.
     assert _calls(tmp_path / "split/run") - 170 < _calls(tmp_path / "whole/run")
+
+
+# Runs build-vocab and dies without any clean-up right after the build's
+# second checkpoint, as a kill -9 between two nodes would leave it.
+_KILLED_AFTER_SECOND_CHECKPOINT = """
+import os, sys
+from tagforge import builder, cli
+save = builder.save_checkpoint
+saved = []
+def save_then_die(*args, **kwargs):
+    save(*args, **kwargs)
+    saved.append(1)
+    if len(saved) == 2:
+        os._exit(9)
+builder.save_checkpoint = save_then_die
+sys.exit(cli.dispatch(sys.argv[1:]))
+"""
+
+
+def test_ledger_counts_every_call_after_a_hard_kill(tmp_path):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    assert dispatch(["build-vocab", "--config", str(config_path),
+                     "--budget-max-calls", "170"]) == 3
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    killed = subprocess.run([sys.executable, "-c", _KILLED_AFTER_SECOND_CHECKPOINT,
+                             "build-vocab", "--config", str(config_path)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert killed.returncode == 9, killed.stderr
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    run_dir = tmp_path / "run"
+    assert _calls(run_dir) == len(list(read_jsonl(run_dir / "transcript.jsonl")))
+
+
+def test_checkpoint_with_the_old_ledger_key_is_continued(tmp_path, capsys):
+    # Checkpoints used to carry a copy of the counters under "ledger".
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    assert dispatch(["build-vocab", "--config", str(config_path),
+                     "--budget-max-calls", "170"]) == 3
+    checkpoint = tmp_path / "run/vocab.checkpoint.json"
+    snapshot = {f"{row['role']}/{row['template_id']}":
+                {key: row[key] for key in ("calls", "retries", "token_estimate")}
+                for row in read_jsonl(tmp_path / "run/ledger.jsonl")}
+    checkpoint.write_text(json.dumps(read_json(checkpoint) | {"ledger": snapshot}))
+    capsys.readouterr()
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out.startswith("resuming: ")
+    assert "ledger" not in read_json(checkpoint)
 
 
 @pytest.mark.parametrize("argv", [["resume", "--depth", "1"],
@@ -449,6 +539,8 @@ def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
     pytest.param([], {"build": {"d_max": "3"}}, id="build.d_max '3'"),
     pytest.param([], {"build": {"seed": 99}}, id="build.seed"),
     pytest.param([], {"build": {"parallelism": 2}}, id="build.parallelism"),
+    pytest.param([], {"build": {"item_text_budget": 1500}},
+                 id="build.item_text_budget"),
 ])
 def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world,
                                                   flags, extra):

@@ -17,7 +17,7 @@ from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import make_gateway
-from oracles import enumerate_rank, trie_lookup
+from oracles import enumerate_rank, surrogate_prob, trie_lookup
 
 
 def tiny_table() -> SemidTable:
@@ -80,11 +80,13 @@ def test_surrogate_hand_count_single_transition():
     ctx = (7, 2)
     vocab = 8
     expected_top = (1 + 0.1) / (1 + 0.1 * vocab)
-    assert model.prob(4, ctx) == pytest.approx(expected_top)
+    assert model.logprob(4, ctx) == pytest.approx(math.log(expected_top))
     for token in range(vocab):
         if token != 4:
-            assert model.prob(token, ctx) == pytest.approx(0.1 / (1 + 0.1 * vocab))
-    assert max(range(vocab), key=lambda t: model.prob(t, ctx)) == 4
+            assert model.logprob(token, ctx) == \
+                pytest.approx(math.log(0.1 / (1 + 0.1 * vocab)))
+    assert surrogate_prob(model, 4, ctx) == pytest.approx(expected_top)
+    assert max(range(vocab), key=lambda t: model.logprob(t, ctx)) == 4
 
 
 def test_surrogate_alpha_zero_uniform_fallback():
@@ -93,7 +95,7 @@ def test_surrogate_alpha_zero_uniform_fallback():
     model = fit_surrogate(split, table, order=3, alpha=0.0)
     unseen = (6, 6)
     for token in range(8):
-        assert model.prob(token, unseen) == pytest.approx(1 / 8)
+        assert model.logprob(token, unseen) == pytest.approx(math.log(1 / 8))
 
 
 def test_surrogate_distributions_normalize(small_semids):
@@ -104,12 +106,12 @@ def test_surrogate_distributions_normalize(small_semids):
     vocab = list(table.token_map)
     for _ in range(100):
         ctx = (rng.choice(vocab), rng.choice(vocab))
-        total = sum(model.prob(t, ctx) for t in vocab)
+        total = sum(math.exp(model.logprob(t, ctx)) for t in vocab)
         assert abs(total - 1.0) < 1e-9
 
 
 def _expected_logprob(model: SurrogateModel, token: int, ctx: tuple) -> float:
-    p = model.prob(token, ctx)
+    p = surrogate_prob(model, token, ctx)
     return math.log(p) if p > 0 else -math.inf
 
 
@@ -154,7 +156,7 @@ def test_surrogate_save_load_round_trip(tmp_path):
     loaded = SurrogateModel.load(path)
     assert loaded.counts == model.counts
     assert loaded.eos_token == model.eos_token
-    assert loaded.prob(4, (7, 2)) == model.prob(4, (7, 2))
+    assert loaded.logprob(4, (7, 2)) == model.logprob(4, (7, 2))
 
 
 def test_surrogate_rejects_wrong_format_version(tmp_path):

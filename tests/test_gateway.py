@@ -282,10 +282,12 @@ def test_http_backend_request_and_parse(monkeypatch):
     assert captured["headers"]["Authorization"] == "Bearer sekret"
 
 
-def test_http_backend_5xx_is_transient():
+@pytest.mark.parametrize("status", [502, 429, 408])
+def test_http_backend_5xx_is_transient(status):
+    # A server error, a rate limit and a request timeout are retried.
     class FakeResponse:
-        status_code = 502
-        text = "bad gateway"
+        status_code = status
+        text = "try again"
 
         def json(self):
             return {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -342,7 +343,7 @@ def test_refine_log_is_byte_identical_across_runs(provider):
         items = [world.corpus.get(i) for i in sorted(tree.root.items)]
         result = refine(items, tree.root, tree, BuildConfig(parallelism=7),
                         gateway, provider)
-        return json.dumps(result.log.to_json(), sort_keys=True)
+        return json.dumps(asdict(result.log), sort_keys=True)
 
     assert run() == run()
 
