@@ -1,27 +1,9 @@
 """Descriptor-vocabulary mining, semantic-ID assignment, and constrained
-beam-search retrieval over an item corpus."""
+beam-search retrieval over an item corpus.
 
-from .corpus import (Corpus, IngestReport, Interaction, Item, SplitDataset,
-                     last_out_split, load_corpus, load_interactions)
-from .gateway import AgentRole, CallLedger, Gateway
-from .vocab import BuildConfig, DescriptorNode, VocabularyTree
-from .builder import build_vocabulary
-from .assignment import (AssignmentRecord, SemidTable, assign_paths,
-                         export_fixed_slots, export_semids, resolve_collisions,
-                         vocab_stats)
-from .decoding import (DescriptorTrie, SurrogateModel, beam_decode, build_trie,
-                       fit_surrogate, simulate_user)
-from .evalkit import MetricReport, evaluate_run, ndcg_at_k, recall_at_k
+Import the submodules themselves (``tagforge.cli``, ``tagforge.builder``,
+...): the package loads none of them, so that each pipeline stage loads
+only what it runs.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentRole", "AssignmentRecord", "BuildConfig", "CallLedger", "Corpus",
-    "DescriptorNode", "DescriptorTrie", "Gateway", "IngestReport",
-    "Interaction", "Item", "MetricReport", "SemidTable", "SplitDataset",
-    "SurrogateModel", "VocabularyTree", "assign_paths", "beam_decode",
-    "build_trie", "build_vocabulary", "evaluate_run", "export_fixed_slots",
-    "export_semids", "fit_surrogate", "last_out_split", "load_corpus",
-    "load_interactions", "ndcg_at_k", "recall_at_k", "resolve_collisions",
-    "simulate_user", "vocab_stats",
-]

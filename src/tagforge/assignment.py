@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import prompts, wire
 from .corpus import Corpus
-from .gateway import AgentRole, Gateway, fan_out
+from .gateway import AgentRole, BackendRefusalError, Gateway, fan_out
 from .protocol import (STOP, ProtocolError, parse_best_rule, parse_path_choice)
 from .runs import atomic_open, read_json, read_jsonl, write_json, write_jsonl
 from .vocab import VocabularyTree
@@ -113,8 +113,9 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     records = []
     for item, rec in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
         if isinstance(rec, Exception):
+            kind = "refused" if isinstance(rec, BackendRefusalError) else "transport"
             rec = AssignmentRecord(item_id=item.item_id, path=(),
-                                   flag=f"transport: {rec}")
+                                   flag=f"{kind}: {rec}")
         rec.terminated = len(rec.path) < max_depth
         records.append(rec)
     return records

@@ -16,15 +16,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .gateway import BudgetExhaustedError, Gateway, TransportExhaustedError
-from .refinement import RefinementError, RefinementLog, log_from_json, refine
+from .gateway import (BudgetExhaustedError, BuildInterrupted, Gateway,
+                      TransportExhaustedError)
+from .refinement import RefinementError, refine
 from .runs import read_json, write_json
-from .vocab import BuildConfig, DescriptorNode, VocabularyTree
-
-
-class BuildInterrupted(RuntimeError):
-    """Build stopped early (call budget or transport exhausted); a checkpoint
-    was persisted. The exhausting error is the ``__cause__``."""
+from .vocab import (BuildConfig, DescriptorNode, RefinementLog, VocabularyTree,
+                    log_from_json)
 
 
 @dataclass

@@ -8,7 +8,9 @@ flag and file values pass the same checks of :meth:`RunConfig.from_json`.
 Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
 skips it when the run manifest says its inputs are unchanged and owns the
 gateway's close (which saves the ledger) and the exit codes; a lock file
-keeps writers exclusive.
+keeps writers exclusive. The modules that cluster, and so load numpy
+(``builder``, ``clustering``, ``freeform``), are imported inside the two
+stage bodies that use them, so that no other stage's process pays for them.
 """
 
 from __future__ import annotations
@@ -24,21 +26,18 @@ from typing import Callable, Literal
 
 from . import assignment as asg
 from . import decoding as dec
-from . import evalkit, freeform
-from .builder import BuildInterrupted, build_vocabulary, load_checkpoint
-from .clustering import HashingProvider
+from . import evalkit
 from .corpus import (IngestReport, last_out_split, load_corpus,
                      load_interactions, read_splits, write_corpus,
                      write_interactions, write_splits)
-from .gateway import (AgentRole, BudgetExhaustedError, CallLedger, Gateway,
-                      HttpBackend, TransportExhaustedError)
+from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
+                      CallLedger, Gateway, HttpBackend, TransportExhaustedError)
 from .mockllm import MockLLMBackend
 from .planted import load_taxonomy
-from .refinement import log_from_json
 from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
                    read_json, read_jsonl, stage_is_current, write_json,
                    write_jsonl)
-from .vocab import BuildConfig, VocabularyError, VocabularyTree
+from .vocab import BuildConfig, VocabularyError, VocabularyTree, log_from_json
 
 
 class CliError(RuntimeError):
@@ -388,6 +387,9 @@ def _ingest(run: StageRun) -> str:
 def _build_vocab(run: StageRun) -> str:
     """Continues the checkpoint when it was written for this stage digest
     and ``--force`` is not given; otherwise builds from the root."""
+    from .builder import build_vocabulary, load_checkpoint
+    from .clustering import HashingProvider
+
     cfg, paths = run.cfg, run.paths
     corpus = load_corpus(_corpus_source(run))
     resume_state = None
@@ -550,6 +552,9 @@ def _critique_eval(run: StageRun) -> str:
         lambda run: [run.paths.root / "freeform_tags.jsonl",
                      run.paths.reports / "freeform.json"])
 def _baseline_freeform(run: StageRun) -> str:
+    from . import freeform
+    from .clustering import HashingProvider
+
     cfg, paths = run.cfg, run.paths
     corpus = load_corpus(_corpus_source(run))
     table = freeform.generate_freeform(corpus, run.gateway,

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TextIO, TypeVar
 
-import requests
-
 from .prompts import FORMAT_REMINDER
 from .protocol import ProtocolError
 from .runs import read_jsonl, write_jsonl
@@ -60,6 +58,11 @@ class TransportExhaustedError(GatewayError):
 
 class BudgetExhaustedError(GatewayError):
     """The configured call budget has been spent."""
+
+
+class BuildInterrupted(RuntimeError):
+    """Build stopped early (call budget or transport exhausted); a checkpoint
+    was persisted. The exhausting error is the ``__cause__``."""
 
 
 @dataclass
@@ -133,26 +136,35 @@ class CallLedger:
 
 
 class HttpBackend:
-    """Generic chat-completion-style JSON-over-HTTP backend.
+    """Generic chat-completion-style JSON-over-HTTP backend on stdlib
+    ``urllib``.
 
     Request body: ``{"model": ..., "messages": [{"role": "user", "content":
     ...}], "temperature": ...}``, with the model and temperature given at
     construction. The first candidate's text is returned; both OpenAI-style
-    ``choices`` and Gemini-style ``candidates`` layouts are accepted. The credential is read from the environment variable named by
-    ``auth_env`` and sent as a bearer token.
+    ``choices`` and Gemini-style ``candidates`` layouts are accepted. The
+    credential is read from the environment variable named by ``auth_env``
+    and sent as a bearer token. ``opener`` is anything with urllib's
+    ``open(request, timeout=...)``; by default ``urllib.request``'s own.
     """
 
     def __init__(self, endpoint: str, model: str, auth_env: str = "LLM_API_KEY",
-                 temperature: float = 0.0, timeout: float = 60.0,
-                 session: requests.Session | None = None):
+                 temperature: float = 0.0, timeout: float = 60.0, opener=None):
+        # urllib is imported here, so that a run on the mock never loads it.
+        import urllib.request
+
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.auth_env = auth_env
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._opener = opener or urllib.request.build_opener()
 
     def generate(self, prompt: str) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env)
         if token:
@@ -160,34 +172,46 @@ class HttpBackend:
         body = {"model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
                 "temperature": self.temperature}
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(body).encode("utf-8"),
+            headers=headers, method="POST")
         try:
-            resp = self._session.post(self.endpoint, json=body,
-                                      headers=headers, timeout=self.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise TransientBackendError(str(exc)) from exc
-        if resp.status_code >= 500 or resp.status_code in (408, 429):
-            raise TransientBackendError(f"HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            raise BackendRefusalError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        return _first_candidate_text(resp.json())
+            with self._opener.open(request, timeout=self.timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:  # the error holds the response, and its body
+                detail = exc.read()[:200].decode("utf-8", "replace")
+            if exc.code >= 500 or exc.code in (408, 429):
+                raise TransientBackendError(f"HTTP {exc.code}") from exc
+            raise BackendRefusalError(f"HTTP {exc.code}: {detail}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            # Refused or dropped connections and timeouts, on connect or read.
+            raise TransientBackendError(f"{type(exc).__name__}: {exc}") from exc
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:
+            raise BackendRefusalError(
+                f"backend reply is not JSON: {raw[:200]!r}") from exc
+        return _first_candidate_text(payload)
 
 
-def _first_candidate_text(payload: dict) -> str:
-    choices = payload.get("choices")
-    if isinstance(choices, list) and choices:
-        message = choices[0].get("message", {})
-        if isinstance(message, dict) and isinstance(message.get("content"), str):
-            return message["content"]
-        if isinstance(choices[0].get("text"), str):
-            return choices[0]["text"]
-    candidates = payload.get("candidates")
-    if isinstance(candidates, list) and candidates:
-        content = candidates[0].get("content", {})
-        parts = content.get("parts") if isinstance(content, dict) else None
-        if isinstance(parts, list) and parts and isinstance(parts[0].get("text"), str):
-            return parts[0]["text"]
-    if isinstance(payload.get("text"), str):
-        return payload["text"]
+# Where each accepted reply layout keeps the first candidate's text.
+_CANDIDATE_TEXT_PATHS = (("choices", 0, "message", "content"),
+                         ("choices", 0, "text"),
+                         ("candidates", 0, "content", "parts", 0, "text"),
+                         ("text",))
+
+
+def _first_candidate_text(payload: object) -> str:
+    for path in _CANDIDATE_TEXT_PATHS:
+        value = payload
+        try:
+            for key in path:
+                value = value[key]
+        except (KeyError, IndexError, TypeError):  # not this layout
+            continue
+        if isinstance(value, str):
+            return value
     raise BackendRefusalError("no candidate text in backend response")
 
 
@@ -308,23 +332,24 @@ R = TypeVar("R")
 
 
 def fan_out(pool: Executor, work: Callable[[T], R], items: Iterable[T],
-            ) -> list[R | TransportExhaustedError | ProtocolError]:
+            ) -> list[R | GatewayError | ProtocolError]:
     """``work(item)`` for every item on ``pool``; the results in item order.
 
-    A :class:`TransportExhaustedError` or :class:`ProtocolError` ends only
-    its own item and takes that item's place in the results. A
-    :class:`BudgetExhaustedError` is raised once every item has finished, so
-    that the caller saves a ledger no call is still adding to.
+    A :class:`TransportExhaustedError`, :class:`BackendRefusalError` or
+    :class:`ProtocolError` ends only its own item and takes that item's
+    place in the results. A :class:`BudgetExhaustedError` is raised once
+    every item has finished, so that the caller saves a ledger no call is
+    still adding to.
     """
     futures = [pool.submit(work, item) for item in items]
-    results: list[R | TransportExhaustedError | ProtocolError] = []
+    results: list[R | GatewayError | ProtocolError] = []
     budget_error: BudgetExhaustedError | None = None
     for future in futures:
         try:
             results.append(future.result())
         except BudgetExhaustedError as exc:
             budget_error = exc
-        except (TransportExhaustedError, ProtocolError) as exc:
+        except (TransportExhaustedError, BackendRefusalError, ProtocolError) as exc:
             results.append(exc)
     if budget_error is not None:
         raise budget_error

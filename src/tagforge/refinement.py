@@ -13,19 +13,20 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import prompts, wire
 from .clustering import distill, embed_batch, k_medoids
 from .corpus import Item
-from .gateway import AgentRole, Gateway, TransportExhaustedError, fan_out
+from .gateway import (AgentRole, BackendRefusalError, Gateway,
+                      TransportExhaustedError, fan_out)
 from .protocol import (APPROVED, CREATE_NEW_CATEGORY, EXPAND_EXISTING_CATEGORY,
                        REJECTED, ChangeProposal,
                        ProtocolError, ReviewDecision, parse_categories,
                        parse_change_proposal, parse_matched_rules,
                        parse_reviews)
-from .vocab import (STATUS_OUTLIERS_RECORDED, BuildConfig, DescriptorNode,
-                    VocabularyTree)
+from .vocab import (STATUS_OUTLIERS_RECORDED, BuildConfig, CycleRecord,
+                    DescriptorNode, RefinementLog, VocabularyTree)
 
 
 class RefinementError(RuntimeError):
@@ -55,41 +56,11 @@ class AssignOutcome:
 
 
 @dataclass
-class CycleRecord:
-    cycle: int
-    coverage: float
-    n_unassigned: int
-    proposals: list[dict] = field(default_factory=list)
-    decisions: list[dict] = field(default_factory=list)
-    vocab_before: int = 0
-    vocab_after: int = 0
-
-
-@dataclass
-class RefinementLog:
-    """``outlier_items``: the items of approved IGNORE_AS_OUTLIERS proposals.
-    Written out with ``dataclasses.asdict``, read back by :func:`log_from_json`."""
-
-    rule_id: str
-    depth: int
-    n_items: int
-    notes: list[str] = field(default_factory=list)
-    cycles: list[CycleRecord] = field(default_factory=list)
-    outlier_items: list[str] = field(default_factory=list)
-
-
-@dataclass
 class RefineResult:
     children: list[DescriptorNode]
     log: RefinementLog
     last_outcome: AssignOutcome | None
     parent_status: str | None = None
-
-
-def log_from_json(row: dict) -> RefinementLog:
-    """The inverse of ``dataclasses.asdict`` on a :class:`RefinementLog`."""
-    return RefinementLog(**{**row, "cycles": [CycleRecord(**c)
-                                              for c in row.get("cycles", [])]})
 
 
 def _make_proposal_id(parent_id: str, cycle: int, index: int) -> str:
@@ -162,8 +133,9 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
                     gateway: Gateway, parallelism: int = 8) -> AssignOutcome:
     """One annotation call per item against the full candidate rule list.
 
-    Per-item transport failures become unassigned-with-report and never
-    abort the batch; budget exhaustion does abort (the caller checkpoints).
+    Per-item transport failures, backend refusals and unparseable answers
+    become unassigned-with-report and never abort the batch; budget
+    exhaustion does abort (the caller checkpoints).
     """
     if not rules:
         raise RefinementError("parallel_assign requires a non-empty vocabulary")
@@ -191,6 +163,8 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
     for item, result in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
         if isinstance(result, TransportExhaustedError):
             result = ([], f"transport failure: {result}")
+        elif isinstance(result, BackendRefusalError):
+            result = ([], f"backend refusal: {result}")
         elif isinstance(result, ProtocolError):
             result = ([], f"unparseable annotation: {result}")
         matched, reason = result

@@ -1,4 +1,5 @@
-"""Descriptor vocabulary tree: nodes, invariants, and persistence.
+"""Descriptor vocabulary tree: nodes, invariants, and persistence; the
+build's configuration and its per-node refinement logs.
 
 The tree roots at a pseudo-node holding the whole corpus at depth 0; every
 real descriptor hangs below it. The tree JSON keeps only counts; per-node
@@ -235,3 +236,34 @@ class BuildConfig:
             raise VocabularyError(
                 f"unknown build config keys: {', '.join(sorted(unknown))}")
         return cls(**payload)
+
+
+@dataclass
+class CycleRecord:
+    cycle: int
+    coverage: float
+    n_unassigned: int
+    proposals: list[dict] = field(default_factory=list)
+    decisions: list[dict] = field(default_factory=list)
+    vocab_before: int = 0
+    vocab_after: int = 0
+
+
+@dataclass
+class RefinementLog:
+    """One node's refinement. ``outlier_items``: the items of approved
+    IGNORE_AS_OUTLIERS proposals. Written out with ``dataclasses.asdict``,
+    read back by :func:`log_from_json`."""
+
+    rule_id: str
+    depth: int
+    n_items: int
+    notes: list[str] = field(default_factory=list)
+    cycles: list[CycleRecord] = field(default_factory=list)
+    outlier_items: list[str] = field(default_factory=list)
+
+
+def log_from_json(row: dict) -> RefinementLog:
+    """The inverse of ``dataclasses.asdict`` on a :class:`RefinementLog`."""
+    return RefinementLog(**{**row, "cycles": [CycleRecord(**c)
+                                              for c in row.get("cycles", [])]})

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from tagforge.clustering import HashingProvider
-from tagforge.gateway import AgentRole, Gateway, TransientBackendError
+from tagforge.gateway import (AgentRole, BackendRefusalError, Gateway,
+                              TransientBackendError)
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_world
 
@@ -29,6 +30,20 @@ class OutageBackend:
     def generate(self, prompt):
         if self.down and self.hit(prompt):
             raise TransientBackendError("HTTP 503")
+        return self.inner.generate(prompt)
+
+
+class RefusingBackend:
+    """Wraps a backend; every prompt that ``hit`` accepts is refused the way
+    an HTTP 400 is."""
+
+    def __init__(self, inner, hit):
+        self.inner = inner
+        self.hit = hit
+
+    def generate(self, prompt):
+        if self.hit(prompt):
+            raise BackendRefusalError("HTTP 400: request refused")
         return self.inner.generate(prompt)
 
 

@@ -11,9 +11,8 @@ from tagforge.builder import (BuildInterrupted, branch_items, build_vocabulary,
                               load_checkpoint, save_checkpoint)
 from tagforge.gateway import AgentRole
 from tagforge.planted import make_world
-from tagforge.refinement import log_from_json
 from tagforge.runs import read_json, read_jsonl
-from tagforge.vocab import STATUS_OUTLIERS_RECORDED, BuildConfig
+from tagforge.vocab import STATUS_OUTLIERS_RECORDED, BuildConfig, log_from_json
 
 from conftest import make_gateway
 

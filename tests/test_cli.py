@@ -19,7 +19,7 @@ from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import read_splits, write_corpus, write_interactions
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
-from conftest import OutageBackend
+from conftest import OutageBackend, RefusingBackend
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +334,22 @@ def test_assign_without_annotations_asks_every_level(tmp_path, small_build):
     assert _assign_calls(run_dir) == len(world.corpus) * state.tree.max_depth()
     assert len(list(read_jsonl(run_dir / "transcript.jsonl"))) == \
         _assign_calls(run_dir)
+
+
+def test_assign_flags_a_refused_item_and_exits_0(tmp_path, monkeypatch,
+                                                 small_build):
+    world, state = small_build
+    config_path = _mock_config(tmp_path, world, parallelism=2)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    refused = world.corpus.item_ids[3]
+    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: RefusingBackend(
+        MockLLMBackend(*args, **kwargs), lambda prompt: f"[{refused}]" in prompt))
+    assert dispatch(["assign", "--config", str(config_path)]) == 0
+    flagged = {row["item_id"]: row["flag"]
+               for row in read_jsonl(run_dir / "assignments.jsonl") if row["flag"]}
+    assert flagged == {refused: "refused: HTTP 400: request refused"}
 
 
 @pytest.mark.parametrize("stage", ["assign", "baseline-freeform"])
@@ -665,3 +681,41 @@ def test_console_entrypoint_help():
     for flag, spec in cli.FLAGS.items():
         assert re.search(rf"{flag} \S+ overrides config key {re.escape(spec.key)}"
                          rf"( |$)", text), flag
+
+
+# What only the clustering stages (build-vocab, baseline-freeform) and the
+# http backend may load.
+HEAVY_MODULES = ("numpy", "requests", "tagforge.clustering", "tagforge.refinement",
+                 "tagforge.builder", "tagforge.freeform")
+
+
+def _src_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_no_heavy_module():
+    probe = ("import json, sys, tagforge.cli; "
+             f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_src_env(), check=True)
+    assert json.loads(out.stdout) == []
+
+
+def test_ingest_process_loads_no_numpy(tmp_path):
+    world = make_world(branching=(2,), n_items=20, seed=3)
+    write_corpus(world.corpus, tmp_path / "corpus.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"run_dir": str(tmp_path / "run"),
+                                       "corpus_path": str(tmp_path / "corpus.jsonl")}))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "tagforge",
+                          "ingest", "--config", str(config_path)],
+                         capture_output=True, text=True, env=_src_env())
+    assert out.returncode == 0, out.stderr
+    # -X importtime writes "import time: self | cumulative | module" lines.
+    loaded = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "tagforge.cli" in loaded
+    assert not {m for m in loaded if m.split(".")[0] in ("numpy", "requests")}
+    assert not loaded & set(HEAVY_MODULES)

@@ -12,7 +12,7 @@ from tagforge.decoding import build_trie, encode_history, fit_surrogate
 from tagforge.evalkit import (EvalError, coverage_deltas, evaluate_run,
                               ndcg_at_k, recall_at_k, write_coverage_csv)
 from tagforge.planted import make_interactions
-from tagforge.refinement import CycleRecord, RefinementLog
+from tagforge.vocab import CycleRecord, RefinementLog
 
 from oracles import enumerate_rank
 

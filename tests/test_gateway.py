@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from tagforge.gateway import (AgentRole, BudgetExhaustedError, CallLedger,
-                              Gateway, HttpBackend,
-                              TransientBackendError, TransportExhaustedError,
-                              fan_out)
+from tagforge.gateway import (AgentRole, BackendRefusalError,
+                              BudgetExhaustedError, CallLedger, Gateway,
+                              HttpBackend, TransientBackendError,
+                              TransportExhaustedError, fan_out)
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_world
 from tagforge.protocol import ProtocolError, parse_keywords
 
-from conftest import make_gateway
+from conftest import RefusingBackend, make_gateway
 
 
 class FlakyBackend:
@@ -218,12 +223,14 @@ def test_fan_out_keeps_item_order_and_per_item_failures():
             raise TransportExhaustedError("down")
         if i == 4:
             raise ProtocolError("garbled")
+        if i == 5:
+            raise BackendRefusalError("refused")
         return i * 10
 
     with ThreadPoolExecutor(max_workers=3) as pool:
-        results = fan_out(pool, work, range(6))
+        results = fan_out(pool, work, range(7))
     assert [r if isinstance(r, int) else str(r) for r in results] == \
-        [0, 10, "down", 30, "garbled", 50]
+        [0, 10, "down", 30, "garbled", "refused", 60]
 
 
 def test_fan_out_raises_budget_after_every_item_finished():
@@ -257,45 +264,149 @@ def test_ledger_save_load_round_trip(tmp_path):
     assert fresh.snapshot() == ledger.snapshot()
 
 
-def test_http_backend_request_and_parse(monkeypatch):
-    captured = {}
+class _LLMHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``status`` and ``reply`` after
+    ``delay`` seconds, and keeps each request in ``seen``."""
 
-    class FakeResponse:
-        status_code = 200
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({"path": self.path, "headers": dict(self.headers),
+                                 "body": json.loads(body)})
+        time.sleep(self.server.delay)
+        try:
+            self.send_response(self.server.status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(self.server.reply)))
+            self.end_headers()
+            self.wfile.write(self.server.reply)
+        except OSError:  # the client stopped waiting
+            pass
 
-        def json(self):
-            return {"choices": [{"message": {"content": "reply!"}}]}
+    def log_message(self, *args):
+        pass
 
-    class FakeSession:
-        def post(self, url, json=None, headers=None, timeout=None):
-            captured.update(url=url, body=json, headers=headers)
-            return FakeResponse()
 
+@pytest.fixture()
+def llm_server():
+    """A chat endpoint on a loopback port; tests set ``status``, ``reply``
+    and ``delay`` on it before they call."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _LLMHandler)
+    server.status, server.reply, server.delay, server.seen = 200, b"{}", 0.0, []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _http_backend(port: int, **kwargs) -> HttpBackend:
+    # No proxy from the environment may stand between the test and loopback.
+    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+    return HttpBackend(f"http://127.0.0.1:{port}/v1/chat", "modelx",
+                       opener=opener, **kwargs)
+
+
+def test_http_backend_request_and_parse(monkeypatch, llm_server):
+    llm_server.reply = b'{"choices": [{"message": {"content": "reply!"}}]}'
     monkeypatch.setenv("MY_KEY", "sekret")
-    backend = HttpBackend("http://example.invalid/v1/chat", "modelx",
-                          auth_env="MY_KEY", temperature=0.25, session=FakeSession())
-    out = backend.generate("hi there")
-    assert out == "reply!"
-    assert captured["body"]["model"] == "modelx"
-    assert captured["body"]["messages"] == [{"role": "user", "content": "hi there"}]
-    assert captured["body"]["temperature"] == 0.25
-    assert captured["headers"]["Authorization"] == "Bearer sekret"
+    backend = _http_backend(llm_server.server_port, auth_env="MY_KEY",
+                            temperature=0.25)
+    assert backend.generate("hi there") == "reply!"
+    (request,) = llm_server.seen
+    assert request["path"] == "/v1/chat"
+    assert request["headers"]["Authorization"] == "Bearer sekret"
+    assert request["headers"]["Content-Type"] == "application/json"
+    assert request["body"] == {"model": "modelx", "temperature": 0.25,
+                               "messages": [{"role": "user", "content": "hi there"}]}
+
+
+def test_http_backend_reads_the_candidates_layout(llm_server):
+    llm_server.reply = b'{"candidates": [{"content": {"parts": [{"text": "reply!"}]}}]}'
+    assert _http_backend(llm_server.server_port).generate("x") == "reply!"
+
+
+def test_http_backend_sends_no_header_without_credential(monkeypatch, llm_server):
+    llm_server.reply = b'{"text": "plain"}'
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    assert _http_backend(llm_server.server_port).generate("x") == "plain"
+    assert "Authorization" not in llm_server.seen[0]["headers"]
 
 
 @pytest.mark.parametrize("status", [502, 429, 408])
-def test_http_backend_5xx_is_transient(status):
+def test_http_backend_5xx_is_transient(llm_server, status):
     # A server error, a rate limit and a request timeout are retried.
-    class FakeResponse:
-        status_code = status
-        text = "try again"
+    llm_server.status, llm_server.reply = status, b'{"error": "try again"}'
+    with pytest.raises(TransientBackendError, match=f"HTTP {status}"):
+        _http_backend(llm_server.server_port).generate("x")
 
-        def json(self):
-            return {}
 
-    class FakeSession:
-        def post(self, *args, **kwargs):
-            return FakeResponse()
+def test_http_backend_400_is_a_refusal(llm_server):
+    llm_server.status, llm_server.reply = 400, b'{"error": "bad request"}'
+    with pytest.raises(BackendRefusalError, match="HTTP 400: .*bad request"):
+        _http_backend(llm_server.server_port).generate("x")
 
-    backend = HttpBackend("http://example.invalid", "m", session=FakeSession())
+
+@pytest.mark.parametrize("reply", [b"<html>busy</html>", b'["reply!"]',
+                                   b'{"choices": ["reply!"]}', b"{}"])
+def test_http_backend_garbage_reply_is_a_refusal(llm_server, reply):
+    # A 2xx body that is not JSON, or holds no candidate text, is refused,
+    # so that it fails only its own item of a batch.
+    llm_server.reply = reply
+    with pytest.raises(BackendRefusalError):
+        _http_backend(llm_server.server_port).generate("x")
+
+
+def test_http_backend_closed_port_is_transient():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
     with pytest.raises(TransientBackendError):
-        backend.generate("x")
+        _http_backend(port).generate("x")
+
+
+def test_http_backend_read_timeout_is_transient(llm_server):
+    llm_server.delay = 1.0
+    with pytest.raises(TransientBackendError, match="timed out"):
+        _http_backend(llm_server.server_port, timeout=0.1).generate("x")
+
+
+def test_a_refusal_fails_only_its_own_item_in_every_batch():
+    from tagforge.assignment import assign_paths
+    from tagforge.freeform import generate_freeform
+    from tagforge.mockllm import category_description
+    from tagforge.refinement import parallel_assign
+    from tagforge.vocab import DescriptorNode, VocabularyTree
+
+    world = make_world(branching=(3,), n_items=8, seed=5)
+    refused = world.corpus.item_ids[3]
+    backend = RefusingBackend(MockLLMBackend(world.taxonomy, seed=0),
+                              lambda prompt: f"[{refused}]" in prompt)
+    gateway = _gateway(backend)
+    tree = VocabularyTree(root_items=set(world.corpus.item_ids))
+    for name in world.taxonomy.level1:
+        tree.add_child(tree.root_id, DescriptorNode(
+            rule_id=tree.fresh_rule_id(tree.root_id, name), name=name,
+            description=category_description(name), parent=tree.root_id,
+            depth=1))
+    others = set(world.corpus.item_ids) - {refused}
+
+    outcome = parallel_assign(list(world.corpus), tree.children_of(tree.root_id),
+                              gateway, parallelism=2)
+    assert set(outcome.assigned) == others
+    assert outcome.unassigned == {refused}
+    assert [(r.item_id, r.report_text) for r in outcome.reports] == \
+        [(refused, "backend refusal: HTTP 400: request refused")]
+
+    records = {r.item_id: r for r in assign_paths(world.corpus, tree, gateway,
+                                                  parallelism=2)}
+    assert (records[refused].path, records[refused].flag) == \
+        ((), "refused: HTTP 400: request refused")
+    assert all(len(records[i].path) == 1 and records[i].flag is None
+               for i in others)
+
+    table = generate_freeform(world.corpus, gateway, parallelism=2)
+    assert table.n_failed_items == 1
+    assert table.tags_by_item[refused] == []
+    assert all(table.tags_by_item[i] for i in others)
