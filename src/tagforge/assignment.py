@@ -104,11 +104,18 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     """
     if mode not in ("per-level", "one-shot"):
         raise AssignmentError(f"unknown assignment mode {mode!r}")
-    worker = (partial(_descend, annotations=annotations or {})
-              if mode == "per-level" else _one_shot)
+    # Each rule list is rendered once per batch, not once per item.
+    if mode == "per-level":
+        rules_text = {rule_id: wire.rules_text(tree.children_of(rule_id))
+                      for rule_id, children in tree.children.items() if children}
+        worker = partial(_descend, tree=tree, gateway=gateway,
+                         annotations=annotations or {}, rules_text=rules_text)
+    else:
+        worker = partial(_one_shot, tree=tree, gateway=gateway,
+                         rules_text=_vocabulary_text(tree))
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = fan_out(pool, lambda item: worker(item, tree, gateway), items)
+        results = fan_out(pool, worker, items, width=parallelism)
     max_depth = tree.max_depth()
     records = []
     for item, rec in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
@@ -122,7 +129,9 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
 
 
 def _descend(item, tree: VocabularyTree, gateway: Gateway,
-             annotations: Annotations) -> AssignmentRecord:
+             annotations: Annotations,
+             rules_text: Mapping[str, str]) -> AssignmentRecord:
+    """``rules_text`` holds each internal node's rendered child rules."""
     node = tree.root
     path: list[str] = []
     flag = None
@@ -135,7 +144,7 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway,
             choice = matched[0]
         else:
             prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-                "rules_text": wire.rules_text(children),
+                "rules_text": rules_text[node.rule_id],
                 "item_text": wire.item_line(item.item_id, item.prompt_text()),
                 "instruction": prompts.ASSIGN_BEST_INSTRUCTION,
             })
@@ -158,11 +167,17 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway,
     return AssignmentRecord(item_id=item.item_id, path=tuple(path), flag=flag)
 
 
-def _one_shot(item, tree: VocabularyTree, gateway: Gateway) -> AssignmentRecord:
-    lines = [wire.rule_line(n.rule_id, n.name, n.description, indent=n.depth - 1)
-             for n in tree.descriptor_nodes()]
+def _vocabulary_text(tree: VocabularyTree) -> str:
+    """Every descriptor, indented by depth, for the one-shot prompt."""
+    return "\n".join(wire.rule_line(n.rule_id, n.name, n.description,
+                                    indent=n.depth - 1)
+                     for n in tree.descriptor_nodes())
+
+
+def _one_shot(item, tree: VocabularyTree, gateway: Gateway,
+              rules_text: str) -> AssignmentRecord:
     prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-        "rules_text": "\n".join(lines),
+        "rules_text": rules_text,
         "item_text": wire.item_line(item.item_id, item.prompt_text()),
         "instruction": prompts.ASSIGN_PATH_INSTRUCTION,
     })

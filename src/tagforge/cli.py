@@ -31,7 +31,8 @@ from .corpus import (IngestReport, last_out_split, load_corpus,
                      load_interactions, read_splits, write_corpus,
                      write_interactions, write_splits)
 from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
-                      CallLedger, Gateway, HttpBackend, TransportExhaustedError)
+                      CallLedger, Gateway, HttpBackend, TransportExhaustedError,
+                      transcript_latency)
 from .mockllm import MockLLMBackend
 from .planted import load_taxonomy
 from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
@@ -592,9 +593,13 @@ def _baseline_freeform(run: StageRun) -> str:
 
 @_stage("report",
         lambda run: (run.paths.build_report, run.paths.refinement_logs,
-                     run.paths.reports / "vocab_stats.json", run.paths.ledger),
+                     run.paths.reports / "vocab_stats.json", run.paths.ledger,
+                     run.paths.transcript),
         lambda run: [run.paths.reports / "summary.json"])
 def _report(run: StageRun) -> str:
+    """Writes ``summary.json``; prints its path, then one line per (role,
+    template) in the transcript: ``latency <role>/<template> calls=<n>
+    p50_ms=<x> p95_ms=<y>``."""
     paths = run.paths
     summary: dict = {}
     if paths.build_report.exists():
@@ -612,8 +617,14 @@ def _report(run: StageRun) -> str:
         ledger = CallLedger()
         ledger.load_jsonl(paths.ledger)
         summary["ledger"] = ledger.snapshot()
+    if paths.transcript.exists():
+        summary["latency"] = transcript_latency(paths.transcript)
     write_json(paths.reports / "summary.json", summary, indent=2, sort_keys=True)
-    return f"report: wrote {paths.reports / 'summary.json'}"
+    return "\n".join(
+        [f"report: wrote {paths.reports / 'summary.json'}"]
+        + [f"latency {key} calls={row['calls']} p50_ms={row['p50_ms']} "
+           f"p95_ms={row['p95_ms']}"
+           for key, row in summary.get("latency", {}).items()])
 
 
 # ``resume`` is another name for build-vocab, which continues its checkpoint.

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import prompts, wire
 from .assignment import BOS, EOS, SEP, SemidTable
 from .corpus import Corpus, SplitDataset
-from .gateway import AgentRole, Gateway
+from .gateway import AgentRole, BackendRefusalError, Gateway
 from .protocol import ProtocolError, parse_name_list
 from .runs import write_json
 from .vocab import VocabularyTree
@@ -295,8 +295,8 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
 
     Oracle mode returns the target's own level-1 token. LLM mode asks the
     simulator prompt and maps the returned section names back onto level-1
-    tokens; an unparseable answer, or one naming no section, falls back to
-    the oracle's.
+    tokens; an unparseable or refused answer, or one naming no section,
+    falls back to the oracle's.
     """
     if mode not in ("oracle", "llm"):
         raise DecodingError(f"unknown simulator mode {mode!r}")
@@ -318,6 +318,6 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
     try:
         names = gateway.complete_parsed(AgentRole.ARCHITECT, prompt,
                                         prompts.USER_SIMULATOR, parse_name_list)
-    except ProtocolError:
+    except (ProtocolError, BackendRefusalError):
         return oracle
     return {token_by_name[n] for n in names if n in token_by_name} or oracle

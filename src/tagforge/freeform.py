@@ -72,7 +72,7 @@ def generate_freeform(corpus: Corpus, gateway: Gateway, n_tags_per_item: int = 3
 
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = fan_out(pool, tag_item, items)
+        results = fan_out(pool, tag_item, items, width=parallelism)
     table = FreeformTagTable(tags_by_item={})
     for item, tags in sorted(zip(items, results), key=lambda pair: pair[0].item_id):
         if isinstance(tags, Exception):

@@ -7,15 +7,19 @@ transport failures, an optional global call budget, and two optional files:
 the ledger, loaded when the gateway is made and saved by
 :meth:`Gateway.save_ledger` and :meth:`Gateway.close`, and the transcript
 log, opened on the first call and kept open until :meth:`Gateway.close`.
+Each transcript line is one unbuffered append, written without a lock, so
+calls on several threads never wait for each other's disk writes.
 ``complete_parsed`` layers the re-ask policy for malformed responses on top.
-:func:`fan_out` runs one batch of per-item calls on a caller's pool, whose
-width (``parallelism``) is the one cap on calls in flight.
+:func:`fan_out` runs one batch of per-item calls on a caller's pool: as many
+workers as the pool is wide (``parallelism``, the one cap on calls in
+flight) take the batch's items in turn.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -23,7 +27,7 @@ import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from .prompts import FORMAT_REMINDER
 from .protocol import ProtocolError
@@ -135,6 +139,27 @@ class CallLedger:
                 stats.token_estimate += int(row.get("token_estimate", 0))
 
 
+def transcript_latency(path: str | Path) -> dict[str, dict[str, float]]:
+    """Calls and the p50 and p95 ``latency_ms`` per ``role/template_id`` in
+    a transcript file, keyed as in :meth:`CallLedger.snapshot`."""
+    # Imported here: it loads fractions and decimal, which no call needs.
+    import statistics
+
+    latencies: dict[str, list[float]] = {}
+    for row in read_jsonl(path):
+        latencies.setdefault(f"{row['role']}/{row['template_id']}",
+                             []).append(row["latency_ms"])
+
+    def percentile(values: list[float], q: int) -> float:
+        if len(values) < 2:
+            return values[0]
+        return round(statistics.quantiles(values, n=100, method="inclusive")[q - 1], 3)
+
+    return {key: {"calls": len(values), "p50_ms": percentile(values, 50),
+                  "p95_ms": percentile(values, 95)}
+            for key, values in sorted(latencies.items())}
+
+
 class HttpBackend:
     """Generic chat-completion-style JSON-over-HTTP backend on stdlib
     ``urllib``.
@@ -240,8 +265,9 @@ class Gateway:
         self._budget_lock = threading.Lock()
         self._calls_admitted = 0
         self._transcript_path = Path(transcript_path) if transcript_path else None
+        # Guards only opening and closing the transcript, never a write.
         self._transcript_lock = threading.Lock()
-        self._transcript: TextIO | None = None
+        self._transcript: BinaryIO | None = None
 
     def complete(self, role: AgentRole, prompt: str, template_id: str) -> str:
         """One LLM call. Retries transient failures with exponential backoff.
@@ -304,13 +330,20 @@ class Gateway:
             "response": response,
             "latency_ms": round((time.monotonic() - started) * 1000, 3),
         }
-        line = json.dumps(row, ensure_ascii=False) + "\n"
-        with self._transcript_lock:
-            if self._transcript is None:
-                self._transcript = self._transcript_path.open("a", encoding="utf-8")
-            self._transcript.write(line)
-            # Flushed per line: a killed process loses at most this line.
-            self._transcript.flush()
+        line = (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
+        transcript = self._transcript
+        if transcript is None:
+            with self._transcript_lock:
+                if self._transcript is None:
+                    self._transcript = open(self._transcript_path, "ab", buffering=0)
+                transcript = self._transcript
+        # One unbuffered O_APPEND write per line: the line is in the kernel
+        # when the call returns, and appends to a local file do not
+        # interleave, so no lock is held across the system call.
+        written = transcript.write(line)
+        if written != len(line):
+            raise OSError(f"{self._transcript_path}: short write, "
+                          f"{written} of {len(line)} bytes")
 
     def save_ledger(self) -> None:
         """Write the counters to the ledger file, if the gateway has one."""
@@ -319,7 +352,8 @@ class Gateway:
 
     def close(self) -> None:
         """Save the ledger and close the transcript; idempotent. A later
-        call reopens the transcript."""
+        call reopens the transcript. Writes to the transcript take no lock,
+        so close only when no call is in flight."""
         self.save_ledger()
         with self._transcript_lock:
             if self._transcript is not None:
@@ -332,25 +366,38 @@ R = TypeVar("R")
 
 
 def fan_out(pool: Executor, work: Callable[[T], R], items: Iterable[T],
-            ) -> list[R | GatewayError | ProtocolError]:
+            width: int | None = None) -> list[R | GatewayError | ProtocolError]:
     """``work(item)`` for every item on ``pool``; the results in item order.
 
-    A :class:`TransportExhaustedError`, :class:`BackendRefusalError` or
-    :class:`ProtocolError` ends only its own item and takes that item's
-    place in the results. A :class:`BudgetExhaustedError` is raised once
-    every item has finished, so that the caller saves a ledger no call is
-    still adding to.
+    ``min(width, len(items))`` workers go to the pool, ``width`` being the
+    pool's width (one worker per item without it). Each worker takes the
+    next item not yet taken until none is left, so a slow item holds up
+    only its own worker. A :class:`TransportExhaustedError`,
+    :class:`BackendRefusalError` or :class:`ProtocolError` ends only its
+    own item and takes that item's place in the results. A
+    :class:`BudgetExhaustedError` is raised once every item has finished,
+    so that the caller saves a ledger no call is still adding to.
     """
-    futures = [pool.submit(work, item) for item in items]
-    results: list[R | GatewayError | ProtocolError] = []
-    budget_error: BudgetExhaustedError | None = None
-    for future in futures:
-        try:
-            results.append(future.result())
-        except BudgetExhaustedError as exc:
-            budget_error = exc
-        except (TransportExhaustedError, BackendRefusalError, ProtocolError) as exc:
-            results.append(exc)
+    items = list(items)
+    results: list = [None] * len(items)
+    taken = itertools.count()  # next() on it is atomic under the GIL
+
+    def drain() -> None:
+        for index in taken:
+            if index >= len(items):
+                return
+            try:
+                results[index] = work(items[index])
+            except (BudgetExhaustedError, TransportExhaustedError,
+                    BackendRefusalError, ProtocolError) as exc:
+                results[index] = exc
+
+    workers = [pool.submit(drain)
+               for _ in range(min(width or len(items), len(items)))]
+    for worker in workers:
+        worker.result()
+    budget_error = next((r for r in results if isinstance(r, BudgetExhaustedError)),
+                        None)
     if budget_error is not None:
         raise budget_error
     return results

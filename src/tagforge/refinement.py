@@ -78,7 +78,8 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
     """Initial child descriptors from a distilled item sample.
 
     The root is served by the architect's init prompt; deeper nodes use the
-    annotator's sub-category proposal prompt.
+    annotator's sub-category proposal prompt. An unparseable or refused
+    answer fails the node (:class:`RefinementError`).
     """
     sample = distill_items(items, config.n_target_rules, provider, config.seed)
     sample_text = wire.items_text((it.item_id, it.prompt_text()) for it in sample)
@@ -102,7 +103,7 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
     try:
         categories = gateway.complete_parsed(role, prompt, template_id,
                                              parse_categories)
-    except ProtocolError as exc:
+    except (ProtocolError, BackendRefusalError) as exc:
         raise RefinementError(f"{parent.rule_id}: init vocabulary failed: {exc}") from exc
 
     notes: list[str] = []
@@ -156,7 +157,7 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
         return [], reason or "annotator returned no match"
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = fan_out(pool, annotate, items)
+        results = fan_out(pool, annotate, items, width=parallelism)
     assigned: dict[str, list[str]] = {}
     unassigned: set[str] = set()
     reports: list[ErrorReport] = []
@@ -186,7 +187,8 @@ def propose_changes(reports: list[ErrorReport], rules: list[DescriptorNode],
 
     Returns (proposals, items-per-proposal, notes). Identical report texts
     are deduplicated before clustering, so homogeneous failures collapse
-    into a single ticket.
+    into a single ticket. A ticket whose answer is unparseable or refused
+    gets no proposal, and a note says why.
     """
     by_text: dict[str, list[str]] = {}
     for rep in reports:
@@ -224,7 +226,7 @@ def propose_changes(reports: list[ErrorReport], rules: list[DescriptorNode],
             proposal = gateway.complete_parsed(
                 AgentRole.ANNOTATOR, prompt, prompts.ANNOTATOR_ERROR_FEEDBACK,
                 lambda raw, pid=pid: parse_change_proposal(raw, proposal_id=pid))
-        except ProtocolError as exc:
+        except (ProtocolError, BackendRefusalError) as exc:
             notes.append(f"ticket cluster {index}: proposal skipped ({exc})")
             continue
         proposals.append(proposal)
@@ -239,7 +241,8 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
     """One architect review over all proposals, then apply the approvals.
 
     Returns (effective decisions, notes, outlier item ids, parent flagged).
-    A review that cannot be parsed rejects every proposal this cycle.
+    A review that cannot be parsed, or is refused, rejects every proposal
+    this cycle.
     """
     proposals_text = "\n".join(
         wire.proposal_line(p.proposal_id, p.change_type, p.problem_summary,
@@ -253,6 +256,9 @@ def review_and_apply(proposals: list[ChangeProposal], parent: DescriptorNode,
                                           prompts.ARCHITECT_REVIEW, parse_reviews)
     except ProtocolError as exc:
         notes.append(f"review unparseable, rejecting all proposals: {exc}")
+        reviews = []
+    except BackendRefusalError as exc:
+        notes.append(f"review refused, rejecting all proposals: {exc}")
         reviews = []
     decision_by_id = {r.proposal_id: r for r in reviews}
     unknown = set(decision_by_id) - {p.proposal_id for p in proposals}

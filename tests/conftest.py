@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tagforge.clustering import HashingProvider
@@ -18,32 +20,36 @@ def make_gateway(world, seed=0, false_negative_rate=0.0, hidden=(),
                     AgentRole.ANNOTATOR: backend}, **gateway_kwargs)
 
 
-class OutageBackend:
-    """Wraps a backend; while ``down`` is set, every prompt that ``hit``
-    accepts fails the way an HTTP 503 does."""
+class FaultBackend:
+    """Wraps a backend; a prompt that contains ``marker`` fails with
+    ``fault``: :class:`TransientBackendError` the way an HTTP 503 does, or
+    :class:`BackendRefusalError` the way an HTTP 400 does.
 
-    def __init__(self, inner, hit):
+    With ``rate`` below 1 only that share of the marked prompts fails,
+    chosen by a hash of ``seed`` and the prompt, so the same prompts fail
+    on every run, in any order and at any parallelism.
+    """
+
+    MESSAGES = {TransientBackendError: "HTTP 503",
+                BackendRefusalError: "HTTP 400: request refused"}
+
+    def __init__(self, inner, marker: str, fault=TransientBackendError,
+                 rate: float = 1.0, seed: int = 0):
         self.inner = inner
-        self.hit = hit
-        self.down = True
+        self.marker = marker
+        self.fault = fault
+        self.rate = rate
+        self.seed = seed
+
+    def fails(self, prompt: str) -> bool:
+        if self.marker not in prompt:
+            return False
+        digest = hashlib.sha1(f"{self.seed}|{prompt}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:4], "big") < self.rate * 2**32
 
     def generate(self, prompt):
-        if self.down and self.hit(prompt):
-            raise TransientBackendError("HTTP 503")
-        return self.inner.generate(prompt)
-
-
-class RefusingBackend:
-    """Wraps a backend; every prompt that ``hit`` accepts is refused the way
-    an HTTP 400 is."""
-
-    def __init__(self, inner, hit):
-        self.inner = inner
-        self.hit = hit
-
-    def generate(self, prompt):
-        if self.hit(prompt):
-            raise BackendRefusalError("HTTP 400: request refused")
+        if self.fails(prompt):
+            raise self.fault(self.MESSAGES[self.fault])
         return self.inner.generate(prompt)
 
 
@@ -67,7 +73,7 @@ def failing_items_gateway(world, down: str, garbled: str, **gateway_kwargs):
     """A mock gateway on which every call about item ``down`` fails its
     transport and every call about item ``garbled`` is answered with garbage."""
     backend = MockLLMBackend(world.taxonomy, seed=0)
-    backend = OutageBackend(backend, lambda prompt: f"[{down}]" in prompt)
+    backend = FaultBackend(backend, f"[{down}]")
     backend = GarbageBackend(backend, lambda prompt: f"[{garbled}]" in prompt)
     gateway_kwargs.setdefault("max_retries", 1)
     gateway_kwargs.setdefault("backoff_base", 0.0)

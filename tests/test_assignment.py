@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tagforge import prompts
+from tagforge import prompts, wire
 from tagforge.assignment import (AssignmentError, AssignmentRecord, NONE_SLOT,
                                  SPECIALS, assign_paths,
                                  export_fixed_slots, export_semids,
@@ -49,6 +49,30 @@ def test_assign_paths_call_count_bounded_by_depth(small_build):
     depth = state.tree.max_depth()
     assert delta <= depth * len(corpus)
     assert delta == 2 * len(corpus)  # clean planted items descend both levels
+
+
+def _counting(fn, calls: list):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("n_items", [6, 270])
+def test_assign_paths_renders_each_rule_list_once_per_batch(small_build,
+                                                           monkeypatch, n_items):
+    world, state = small_build
+    tree = state.tree
+    corpus = Corpus(list(world.corpus)[:n_items])
+    rendered, lines = [], []
+    monkeypatch.setattr(wire, "rules_text", _counting(wire.rules_text, rendered))
+    monkeypatch.setattr(wire, "rule_line", _counting(wire.rule_line, lines))
+    assign_paths(corpus, tree, make_gateway(world), parallelism=4)
+    internal = [rule_id for rule_id, children in tree.children.items() if children]
+    assert len(rendered) == len(internal)
+    lines.clear()
+    assign_paths(corpus, tree, make_gateway(world), parallelism=4, mode="one-shot")
+    assert len(lines) == len(tree.descriptor_nodes())
 
 
 def test_assign_paths_per_item_failures_are_flagged(small_build):

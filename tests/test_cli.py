@@ -14,12 +14,13 @@ import pytest
 
 from tagforge import cli
 from tagforge.cli import dispatch
+from tagforge.gateway import BackendRefusalError
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import read_splits, write_corpus, write_interactions
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
-from conftest import OutageBackend, RefusingBackend
+from conftest import FaultBackend
 
 
 @pytest.fixture(scope="module")
@@ -344,8 +345,8 @@ def test_assign_flags_a_refused_item_and_exits_0(tmp_path, monkeypatch,
     run_dir.mkdir()
     state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
     refused = world.corpus.item_ids[3]
-    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: RefusingBackend(
-        MockLLMBackend(*args, **kwargs), lambda prompt: f"[{refused}]" in prompt))
+    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+        MockLLMBackend(*args, **kwargs), f"[{refused}]", BackendRefusalError))
     assert dispatch(["assign", "--config", str(config_path)]) == 0
     flagged = {row["item_id"]: row["flag"]
                for row in read_jsonl(run_dir / "assignments.jsonl") if row["flag"]}
@@ -390,6 +391,41 @@ def test_parallelism_change_reissues_no_call(tmp_path, capsys):
     assert "parallelism" not in read_json(tmp_path / "run/vocab.json")["config"]
 
 
+def test_parallelism_changes_no_output(tmp_path, monkeypatch):
+    """The review world, with a seeded 5% of annotation prompts refused:
+    reflection cycles, reviews and per-item failures at 1 and 4 threads."""
+    world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
+    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+        MockLLMBackend(*args, **kwargs), "You are annotating catalog items",
+        BackendRefusalError, rate=0.05, seed=3))
+    outputs = {}
+    for parallelism in (1, 4):
+        root = tmp_path / f"p{parallelism}"
+        root.mkdir()
+        config_path = _mock_config(
+            root, world, parallelism=parallelism,
+            build={"d_max": 3, "tau_split": 20},
+            mock_hidden_categories=[world.taxonomy.level1[0]],
+            mock_false_negative_rate=0.15)
+        for stage in ("build-vocab", "assign"):
+            assert dispatch([stage, "--config", str(config_path)]) == 0, stage
+        run_dir = root / "run"
+        transcript = sorted(
+            json.dumps({k: v for k, v in row.items() if k != "latency_ms"},
+                       sort_keys=True)
+            for row in read_jsonl(run_dir / "transcript.jsonl"))
+        outputs[parallelism] = (
+            {name: (run_dir / name).read_bytes()
+             for name in ("vocab.json", "assignments.jsonl", "ledger.jsonl")},
+            transcript)
+    files, transcript = outputs[1]
+    assert outputs[4] == (files, transcript)
+    flags = [row["flag"] for row in read_jsonl(tmp_path / "p1/run/assignments.jsonl")]
+    assert "refused: HTTP 400: request refused" in flags
+    assert any(row["cycles"] and len(row["cycles"]) > 1
+               for row in read_jsonl(tmp_path / "p1/run/refinement_logs.jsonl"))
+
+
 @pytest.mark.parametrize("source", ["config", "flag"])
 @pytest.mark.parametrize("stage", ["build-vocab", "assign"])
 def test_parallelism_below_one_is_config_error(tmp_path, capsys, small_build,
@@ -415,8 +451,8 @@ def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
 
     def level1_outage(*args, **kwargs):
         # Node-level init prompts below the root carry the parent category.
-        backends.append(OutageBackend(MockLLMBackend(*args, **kwargs),
-                                      lambda prompt: "Parent category:" in prompt))
+        backends.append(FaultBackend(MockLLMBackend(*args, **kwargs),
+                                     "Parent category:"))
         return backends[-1]
 
     monkeypatch.setattr(cli, "MockLLMBackend", level1_outage)
@@ -433,6 +469,61 @@ def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
     assert dispatch(["resume", "--config", str(config_path)]) == 0
     refined = read_json(run_dir / "build_report.json")["nodes_refined"]
     assert len(refined) == len(set(refined)) == 4  # root + 3 level-1 nodes
+
+
+def test_report_prints_latency_per_template(tmp_path, capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    for stage in ("build-vocab", "baseline-freeform"):
+        assert dispatch([stage, "--config", str(config_path)]) == 0, stage
+    capsys.readouterr()
+    assert dispatch(["report", "--config", str(config_path)]) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first.startswith("report: wrote ")
+    run_dir = tmp_path / "run"
+    latencies = {}
+    for row in read_jsonl(run_dir / "transcript.jsonl"):
+        latencies.setdefault(f"{row['role']}/{row['template_id']}",
+                             []).append(row["latency_ms"])
+
+    def percentile(values, q):  # linear between closest ranks
+        values = sorted(values)
+        position = (len(values) - 1) * q / 100
+        low = int(position)
+        high = min(low + 1, len(values) - 1)
+        return values[low] + (values[high] - values[low]) * (position - low)
+
+    expected = [f"latency {key} calls={len(values)} "
+                f"p50_ms={round(percentile(values, 50), 3)} "
+                f"p95_ms={round(percentile(values, 95), 3)}"
+                for key, values in sorted(latencies.items())]
+    assert lines == expected
+    ledger = {f"{row['role']}/{row['template_id']}": row["calls"]
+              for row in read_jsonl(run_dir / "ledger.jsonl")}
+    assert {key: len(values) for key, values in latencies.items()} == ledger
+    assert {"annotator/AssignItem", "annotator/FreeformTag"} <= set(ledger)
+    summary = read_json(run_dir / "reports/summary.json")["latency"]
+    assert [f"latency {key} calls={row['calls']} p50_ms={row['p50_ms']} "
+            f"p95_ms={row['p95_ms']}" for key, row in summary.items()] == expected
+
+
+def test_refused_node_init_fails_only_that_node(tmp_path, monkeypatch):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    # Node-level init prompts below the root carry the parent category.
+    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+        MockLLMBackend(*args, **kwargs), "Parent category:", BackendRefusalError))
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    run_dir = tmp_path / "run"
+    report = read_json(run_dir / "build_report.json")
+    level1 = read_json(run_dir / "vocab.json")["nodes"]
+    assert len(report["nodes_failed"]) == 3
+    assert all(level1[rule_id]["depth"] == 1 for rule_id in report["nodes_failed"])
+    notes = {row["rule_id"]: row["notes"]
+             for row in read_jsonl(run_dir / "refinement_logs.jsonl")}
+    for rule_id in report["nodes_failed"]:
+        assert notes[rule_id] == [f"failed: {rule_id}: init vocabulary failed: "
+                                  "HTTP 400: request refused"]
 
 
 def test_locked_run_keeps_config_snapshot(workspace, tmp_path, capsys):

@@ -12,11 +12,13 @@ from tagforge.corpus import SplitDataset
 from tagforge.decoding import (DecodingError, SurrogateModel, beam_decode,
                                build_trie, encode_history,
                                fit_surrogate, simulate_user, user_stream)
+from tagforge.gateway import AgentRole, BackendRefusalError, Gateway
+from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_interactions
 from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
-from conftest import make_gateway
+from conftest import FaultBackend, make_gateway
 from oracles import enumerate_rank, surrogate_prob, trie_lookup
 
 
@@ -312,3 +314,15 @@ def test_simulate_user_llm_parse_failure_falls_back(decode_setup):
     oracle = simulate_user(item_id, world.corpus, table, tree, mode="oracle")
     assert simulate_user(item_id, world.corpus, table, tree, mode="llm",
                          gateway=gateway) == oracle
+
+
+def test_simulate_user_llm_refusal_falls_back(decode_setup):
+    world, tree, _, table, _, _, _ = decode_setup
+    backend = FaultBackend(MockLLMBackend(world.taxonomy), "simulating a user",
+                           BackendRefusalError)
+    gateway = Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend})
+    item_id = table.rows[0].item_id
+    oracle = simulate_user(item_id, world.corpus, table, tree, mode="oracle")
+    assert simulate_user(item_id, world.corpus, table, tree, mode="llm",
+                         gateway=gateway) == oracle
+    assert gateway.ledger.calls() == 0

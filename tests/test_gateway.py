@@ -17,7 +17,7 @@ from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import make_world
 from tagforge.protocol import ProtocolError, parse_keywords
 
-from conftest import RefusingBackend, make_gateway
+from conftest import FaultBackend, make_gateway
 
 
 class FlakyBackend:
@@ -253,6 +253,57 @@ def test_fan_out_raises_budget_after_every_item_finished():
         assert sorted(done) == list(range(1, 8))
 
 
+@pytest.mark.parametrize("width, n_items", [(3, 9), (8, 5), (1, 4), (2, 0)])
+def test_fan_out_submits_one_worker_per_slot(width, n_items):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    class CountingPool(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(fn, *args, **kwargs)
+
+    finished = []
+    lock = threading.Lock()
+
+    def work(i):
+        time.sleep(0.001 * (i % 3))  # uneven latencies
+        with lock:
+            finished.append(i)
+        if i == 1:
+            raise TransportExhaustedError("down")
+        if i == 2:
+            raise BackendRefusalError("refused")
+        if i == 3:
+            raise ProtocolError("garbled")
+        return i * 10
+
+    errors = {1: "down", 2: "refused", 3: "garbled"}
+    with CountingPool(max_workers=width) as pool:
+        results = fan_out(pool, work, range(n_items), width=width)
+        assert pool.submitted == min(width, n_items)
+    assert [str(r) if i in errors else r for i, r in enumerate(results)] == \
+        [errors.get(i, i * 10) for i in range(n_items)]
+    assert sorted(finished) == list(range(n_items))
+
+    def spent(i):
+        with lock:
+            finished.append(i)
+        if i == 0:
+            raise BudgetExhaustedError("spent")
+        return i
+
+    finished.clear()
+    with CountingPool(max_workers=width) as pool:
+        if n_items:
+            with pytest.raises(BudgetExhaustedError, match="spent"):
+                fan_out(pool, spent, range(n_items), width=width)
+        assert sorted(finished) == list(range(n_items))
+        assert pool.submitted == min(width, n_items)
+
+
 def test_ledger_save_load_round_trip(tmp_path):
     ledger = CallLedger()
     ledger.record_call(AgentRole.ANNOTATOR, "AssignItem", "pp", "rr")
@@ -381,8 +432,8 @@ def test_a_refusal_fails_only_its_own_item_in_every_batch():
 
     world = make_world(branching=(3,), n_items=8, seed=5)
     refused = world.corpus.item_ids[3]
-    backend = RefusingBackend(MockLLMBackend(world.taxonomy, seed=0),
-                              lambda prompt: f"[{refused}]" in prompt)
+    backend = FaultBackend(MockLLMBackend(world.taxonomy, seed=0),
+                           f"[{refused}]", BackendRefusalError)
     gateway = _gateway(backend)
     tree = VocabularyTree(root_items=set(world.corpus.item_ids))
     for name in world.taxonomy.level1:

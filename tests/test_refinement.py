@@ -6,7 +6,8 @@ from dataclasses import asdict
 import pytest
 
 from tagforge import prompts
-from tagforge.gateway import AgentRole, BudgetExhaustedError, Gateway
+from tagforge.gateway import (AgentRole, BackendRefusalError,
+                              BudgetExhaustedError, Gateway)
 from tagforge.mockllm import MockLLMBackend, category_description
 from tagforge.planted import make_world
 from tagforge.protocol import (APPROVED, CREATE_NEW_CATEGORY,
@@ -17,7 +18,7 @@ from tagforge.refinement import (RefinementError, init_vocabulary,
                                  review_and_apply)
 from tagforge.vocab import BuildConfig, DescriptorNode, VocabularyTree
 
-from conftest import failing_items_gateway, make_gateway
+from conftest import FaultBackend, failing_items_gateway, make_gateway
 
 
 class RecordingBackend:
@@ -173,6 +174,23 @@ def test_propose_changes_single_missing_category(provider):
     assert notes == []
 
 
+def test_propose_changes_refusal_skips_the_proposal(provider):
+    world = make_world(branching=(3,), n_items=150, seed=5)
+    tree = fresh_tree(world)
+    rules = level1_nodes(world, tree, names=world.taxonomy.level1[:2])
+    backend = FaultBackend(MockLLMBackend(world.taxonomy),
+                           "taxonomy quality control", BackendRefusalError)
+    gateway = Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend})
+    outcome = parallel_assign(list(world.corpus), rules, gateway)
+    items_by_id = {it.item_id: it for it in world.corpus}
+    proposals, proposal_items, notes = propose_changes(
+        outcome.reports, rules, items_by_id, tree.root, 1, BuildConfig(),
+        gateway, provider)
+    assert proposals == [] and proposal_items == {}
+    assert notes == ["ticket cluster 0: proposal skipped "
+                     "(HTTP 400: request refused)"]
+
+
 def test_propose_changes_two_missing_categories(provider):
     world = make_world(branching=(3,), n_items=150, seed=5)
     tree = fresh_tree(world)
@@ -268,6 +286,26 @@ def test_review_parse_failure_rejects_all(small_world):
                                               tree, {}, gateway)
     assert [d.decision for d in decisions] == [REJECTED]
     assert any("rejecting all" in n for n in notes)
+
+
+def test_review_refusal_rejects_all(small_world):
+    backend = FaultBackend(MockLLMBackend(small_world.taxonomy),
+                           "senior taxonomy manager", BackendRefusalError)
+    gateway = Gateway({AgentRole.ARCHITECT: backend,
+                       AgentRole.ANNOTATOR: backend})
+    tree = fresh_tree(small_world)
+    children = level1_nodes(small_world, tree)
+    proposal = ChangeProposal(
+        proposal_id="prop_00000005", change_type=CREATE_NEW_CATEGORY,
+        problem_summary="gap",
+        change={"new_rule_description": "Extra: INCLUDES: a. EXCLUDES: b."})
+    decisions, notes, outliers, flagged = review_and_apply(
+        [proposal], tree.root, children, tree, {}, gateway)
+    assert [d.decision for d in decisions] == [REJECTED]
+    assert len(children) == len(small_world.taxonomy.level1)
+    assert not flagged and outliers == set()
+    assert notes == ["review refused, rejecting all proposals: "
+                     "HTTP 400: request refused"]
 
 
 def test_refine_recovers_hidden_category(provider):
