@@ -461,7 +461,7 @@ def _encode(run: StageRun) -> str:
 
 @_stage("fit",
         lambda run: (run.paths.splits, run.paths.semids, run.cfg.surrogate_order,
-                     run.cfg.surrogate_alpha),
+                     run.cfg.surrogate_alpha, dec.SurrogateModel.FORMAT_VERSION),
         lambda run: [run.paths.model])
 def _fit(run: StageRun) -> str:
     cfg, paths = run.cfg, run.paths

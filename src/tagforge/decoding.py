@@ -6,11 +6,16 @@ fitted on train-split user histories flattened to token streams, a boundary
 token between consecutive items, and the end-of-sequence token closing each
 stream. It stands in for a trained sequence model at desk scale while
 exercising the full decoding machinery exactly.
+
+Beam search reads its step and EOS scores from a table on the model, one
+entry per (trie node, context tail), filled through
+``SurrogateModel.logprob`` on first use. Every score is therefore the float
+``logprob`` gives, and a count of ``logprob`` calls counts table misses.
 """
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +25,7 @@ from .assignment import BOS, EOS, SEP, SemidTable
 from .corpus import Corpus, SplitDataset
 from .gateway import AgentRole, BackendRefusalError, Gateway
 from .protocol import ProtocolError, parse_name_list
-from .runs import write_json
+from .runs import read_json, write_json
 from .vocab import VocabularyTree
 
 
@@ -28,8 +33,11 @@ class DecodingError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class TrieNode:
+    """Hashed and compared by identity, so a node keys
+    :meth:`SurrogateModel.expansions` for whichever trie it belongs to."""
+
     children: dict[int, "TrieNode"] = field(default_factory=dict)
     item_id: str | None = None
 
@@ -70,6 +78,10 @@ def build_trie(table: SemidTable) -> DescriptorTrie:
     return trie
 
 
+# (token, child, step logprob, child's context tail, EOS logprob or None)
+Expansion = tuple[int, TrieNode, float, tuple[int, ...], float | None]
+
+
 def _log(p: float) -> float:
     return math.log(p) if p > 0 else -math.inf
 
@@ -94,9 +106,12 @@ class SurrogateModel:
         # context -> ({observed token: logprob}, logprob of any unseen token)
         self._logprob_rows: dict[tuple[int, ...],
                                  tuple[dict[int, float], float]] = {}
+        self._expansions: dict[tuple[TrieNode, tuple[int, ...]],
+                               list[Expansion]] = {}
 
     def observe_stream(self, tokens: list[int]) -> None:
         self._logprob_rows.clear()
+        self._expansions.clear()
         m = self.order
         for i in range(m - 1, len(tokens)):
             ctx = tuple(tokens[i - m + 1:i])
@@ -132,6 +147,35 @@ class SurrogateModel:
         seen, unseen = row
         return seen.get(token, unseen)
 
+    def expansions(self, node: TrieNode,
+                   context: tuple[int, ...]) -> list[Expansion]:
+        """Every step out of trie ``node`` after ``context``, the tail of at
+        most order-1 tokens that the model reads: one
+        ``(token, child, step logprob, child's context tail, EOS logprob or
+        None)`` per child in token order, the EOS logprob only for a
+        terminal child.
+
+        Filled on first use through :meth:`logprob`, so each number is the
+        one it returns, and kept until the next :meth:`observe_stream`.
+        Since every history ends in the boundary token, below the first
+        level (order 3) a context tail is fixed by the trie path, and one
+        entry serves every request. Nodes key by identity, so several tries
+        can share a model; a trie must not change once decoded.
+        """
+        key = (node, context)
+        entry = self._expansions.get(key)
+        if entry is None:
+            keep = self.order - 1
+            entry = []
+            for token, child in sorted(node.children.items()):
+                next_ctx = (context + (token,))[-keep:] if keep else ()
+                eos = (self.logprob(self.eos_token, next_ctx)
+                       if child.item_id is not None else None)
+                entry.append((token, child, self.logprob(token, context),
+                              next_ctx, eos))
+            self._expansions[key] = entry
+        return entry
+
     def score_sequence(self, context: tuple[int, ...],
                        tokens: list[int]) -> float:
         """Cumulative log-probability of ``tokens`` continuing ``context``."""
@@ -161,7 +205,7 @@ class SurrogateModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SurrogateModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
         if payload.get("format_version") != cls.FORMAT_VERSION:
             raise DecodingError(
                 f"unsupported model format {payload.get('format_version')!r}")
@@ -249,6 +293,10 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
     so every returned item carries an allowed level-1 token. With
     ``beam_width`` at least the number of trie terminals the result equals
     exhaustive enumeration.
+
+    A hypothesis is expanded by walking ``model.expansions`` for its node
+    and context tail, so each score is computed once per (node, tail), not
+    once per request.
     """
     if beam_width < 1:
         raise DecodingError("beam width must be >= 1")
@@ -258,34 +306,29 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
         extra = allowed_level1 - trie.level1_tokens()
         if extra:
             raise DecodingError(f"allowed tokens not at level 1: {sorted(extra)}")
-    # Hypotheses carry only the context tail the model reads.
+    # Hypotheses carry only the context tail the model reads; live ones are
+    # (-score, generated tokens, node, tail), finished ones (-score, item),
+    # so that plain tuple order is the ranking and its tie-break.
     keep = model.order - 1
-    live = [(trie.root, history[-keep:] if keep else (), 0.0, ())]
-    finished: list[tuple[str, float, tuple[int, ...]]] = []
-    first = True
+    live = [(-0.0, (), trie.root, history[-keep:] if keep else ())]
+    finished: list[tuple[float, str]] = []
+    allowed = allowed_level1
     while live:
-        candidates = []
-        for node, ctx, score, gen in live:
-            for token, child in sorted(node.children.items()):
-                if first and allowed_level1 is not None \
-                        and token not in allowed_level1:
-                    continue
-                step = model.logprob(token, ctx)
-                candidates.append((child, token, ctx, score + step, gen))
         next_live = []
-        for child, token, ctx, score, gen in candidates:
-            new_ctx = (ctx + (token,))[-keep:] if keep else ()
-            new_gen = gen + (token,)
-            if child.item_id is not None:
-                eos_score = score + model.logprob(model.eos_token, new_ctx)
-                finished.append((child.item_id, eos_score, new_gen))
-            else:
-                next_live.append((child, new_ctx, score, new_gen))
-        next_live.sort(key=lambda h: (-h[2], h[3]))
-        live = next_live[:beam_width]
-        first = False
-    finished.sort(key=lambda f: (-f[1], f[0]))
-    return [(item_id, score) for item_id, score, _ in finished[:beam_width]]
+        for neg, gen, node, ctx in live:
+            score = -neg
+            for token, child, step, next_ctx, eos in model.expansions(node, ctx):
+                if allowed is not None and token not in allowed:
+                    continue
+                if eos is None:
+                    next_live.append((-(score + step), gen + (token,), child,
+                                      next_ctx))
+                else:
+                    finished.append((-((score + step) + eos), child.item_id))
+        live = heapq.nsmallest(beam_width, next_live)
+        allowed = None
+    return [(item_id, -neg)
+            for neg, item_id in heapq.nsmallest(beam_width, finished)]
 
 
 def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,

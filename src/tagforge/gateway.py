@@ -262,8 +262,9 @@ class Gateway:
         self._ledger_path = Path(ledger_path) if ledger_path else None
         if self._ledger_path is not None and self._ledger_path.exists():
             self.ledger.load_jsonl(self._ledger_path)
-        self._budget_lock = threading.Lock()
-        self._calls_admitted = 0
+        # One ticket per admission check; next() on it is atomic under the
+        # GIL, so admitting a call takes no lock.
+        self._admissions = itertools.count()
         self._transcript_path = Path(transcript_path) if transcript_path else None
         # Guards only opening and closing the transcript, never a write.
         self._transcript_lock = threading.Lock()
@@ -278,13 +279,11 @@ class Gateway:
         backend = self._backends.get(role)
         if backend is None:
             raise GatewayError(f"no backend configured for role {role.value!r}")
-        with self._budget_lock:
-            # Budget counts calls admitted by this gateway instance, so a
-            # resumed run with a reloaded ledger starts from a fresh budget.
-            if self.max_calls is not None and self._calls_admitted >= self.max_calls:
-                raise BudgetExhaustedError(
-                    f"call budget of {self.max_calls} exhausted")
-            self._calls_admitted += 1
+        # Budget counts calls admitted by this gateway instance, so a
+        # resumed run with a reloaded ledger starts from a fresh budget.
+        if self.max_calls is not None and next(self._admissions) >= self.max_calls:
+            raise BudgetExhaustedError(
+                f"call budget of {self.max_calls} exhausted")
         started = time.monotonic()
         attempt = 0
         while True:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, Interaction, Item, write_corpus, write_interactions
+from .runs import read_json
 from .vocab import ROOT_DESCRIPTION, ROOT_NAME  # noqa: F401 (re-exported)
 
 _SYLLABLES = ["ba", "ce", "di", "fo", "gu", "ha", "ki", "lo",
@@ -177,8 +178,7 @@ def save_world(world: PlantedWorld, path: str | Path) -> None:
 
 
 def load_taxonomy(path: str | Path) -> PlantedTaxonomy:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return PlantedTaxonomy.from_json(payload["taxonomy"])
+    return PlantedTaxonomy.from_json(read_json(path)["taxonomy"])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from tagforge import clustering
 from tagforge.assignment import EOS, AssignmentError, AssignmentRecord, SemidTable
-from tagforge.decoding import DescriptorTrie, SurrogateModel
+from tagforge.decoding import DecodingError, DescriptorTrie, SurrogateModel
 from tagforge.protocol import ReviewDecision
 
 
@@ -114,6 +114,50 @@ def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
                        model.score_sequence(history, list(row.tokens))))
     scored.sort(key=lambda f: (-f[1], f[0]))
     return scored
+
+
+def reference_beam_decode(model: SurrogateModel, history: tuple[int, ...],
+                          trie: DescriptorTrie, beam_width: int,
+                          allowed_level1: set[int] | None = None) -> list[tuple[str, float]]:
+    """Trie-constrained beam search that asks ``SurrogateModel.logprob`` for
+    every step and every EOS of every request; ``decoding.beam_decode``,
+    which reads them from the model's expansion table, must return exactly
+    this, scores included."""
+    if beam_width < 1:
+        raise DecodingError("beam width must be >= 1")
+    if allowed_level1 is not None:
+        if not allowed_level1:
+            raise DecodingError("allowed level-1 token set is empty")
+        extra = allowed_level1 - trie.level1_tokens()
+        if extra:
+            raise DecodingError(f"allowed tokens not at level 1: {sorted(extra)}")
+    keep = model.order - 1
+    live = [(trie.root, history[-keep:] if keep else (), 0.0, ())]
+    finished: list[tuple[str, float, tuple[int, ...]]] = []
+    first = True
+    while live:
+        candidates = []
+        for node, ctx, score, gen in live:
+            for token, child in sorted(node.children.items()):
+                if first and allowed_level1 is not None \
+                        and token not in allowed_level1:
+                    continue
+                step = model.logprob(token, ctx)
+                candidates.append((child, token, ctx, score + step, gen))
+        next_live = []
+        for child, token, ctx, score, gen in candidates:
+            new_ctx = (ctx + (token,))[-keep:] if keep else ()
+            new_gen = gen + (token,)
+            if child.item_id is not None:
+                eos_score = score + model.logprob(model.eos_token, new_ctx)
+                finished.append((child.item_id, eos_score, new_gen))
+            else:
+                next_live.append((child, new_ctx, score, new_gen))
+        next_live.sort(key=lambda h: (-h[2], h[3]))
+        live = next_live[:beam_width]
+        first = False
+    finished.sort(key=lambda f: (-f[1], f[0]))
+    return [(item_id, score) for item_id, score, _ in finished[:beam_width]]
 
 
 def decode_semids(table: SemidTable) -> list[AssignmentRecord]:

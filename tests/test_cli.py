@@ -140,6 +140,22 @@ def test_model_file_has_version_header(workspace):
     assert payload["format_version"] == 1
 
 
+def test_fit_reruns_when_the_model_format_changes(workspace, tmp_path,
+                                                  capsys, monkeypatch):
+    root, config_path, _ = workspace
+    shutil.copytree(root / "run", tmp_path / "run")
+    config = {**read_json(config_path), "run_dir": str(tmp_path / "run")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    for _ in range(2):  # the first run re-fits: the run directory moved
+        assert run(config_path, "fit") == 0
+    assert capsys.readouterr().out.endswith("fit: up to date, skipping\n")
+    monkeypatch.setattr(cli.dec.SurrogateModel, "FORMAT_VERSION", 2)
+    assert run(config_path, "fit") == 0
+    assert capsys.readouterr().out.startswith("fit: order-3 model over ")
+    assert read_json(tmp_path / "run/model.bin")["format_version"] == 2
+
+
 def test_build_report_n_semid_notation(workspace):
     root, _, _ = workspace
     payload = json.loads((root / "run/build_report.json").read_text())

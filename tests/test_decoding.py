@@ -19,7 +19,8 @@ from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import FaultBackend, make_gateway
-from oracles import enumerate_rank, surrogate_prob, trie_lookup
+from oracles import (enumerate_rank, reference_beam_decode, surrogate_prob,
+                     trie_lookup)
 
 
 def tiny_table() -> SemidTable:
@@ -238,6 +239,72 @@ def test_beam_reads_only_the_context_tail(decode_setup, order):
             ranked = beam_decode(model, history, trie, width)
             assert ranked == beam_decode(model, tail, trie, width)
         assert ranked == enumerate_rank(model, history, table)
+
+
+def _decode_requests(table, split, trie, order, n_users=6):
+    """(history, beam width, allowed level-1 set) for a few test users: every
+    width in 1, 5, 20 and full, unconstrained and critiqued to the target's
+    own level-1 token."""
+    requests = []
+    for user_id in sorted(split.test)[:n_users]:
+        history = encode_history(table, split.train[user_id], order)
+        critique = {table.row_of(split.test[user_id]).tokens[0]}
+        for width in (1, 5, 20, trie.n_terminals):
+            for allowed in (None, critique):
+                requests.append((history, width, allowed))
+    return requests
+
+
+def _assert_matches_reference(model, trie, requests):
+    for history, width, allowed in requests:
+        assert beam_decode(model, history, trie, width, allowed) == \
+            reference_beam_decode(model, history, trie, width, allowed)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=order, alpha=alpha)
+    requests = _decode_requests(table, split, trie, order)
+    _assert_matches_reference(model, trie, requests)
+    # On a warm table the decoder asks the scorer nothing.
+    calls = []
+    logprob = SurrogateModel.logprob
+    monkeypatch.setattr(SurrogateModel, "logprob",
+                        lambda self, *args: calls.append(args) or logprob(self, *args))
+    for history, width, allowed in requests:
+        beam_decode(model, history, trie, width, allowed)
+    assert calls == []
+    monkeypatch.undo()
+    _assert_matches_reference(model, trie, requests)
+
+
+def test_models_and_tries_share_nodes_safely(decode_setup):
+    _, _, _, table, split, _, trie = decode_setup
+    half = build_trie(SemidTable(rows=table.rows[::2], token_map=table.token_map))
+    models = [fit_surrogate(split, table, order=3, alpha=alpha)
+              for alpha in (0.1, 0.5)]
+    requests = _decode_requests(table, split, trie, 3, n_users=3)
+    for _ in range(2):
+        for model in models:
+            for each in (trie, half):
+                _assert_matches_reference(model, each, requests)
+
+
+def test_observing_a_stream_drops_the_expansion_table(decode_setup):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    requests = _decode_requests(table, split, trie, 3, n_users=3)
+    before = [beam_decode(model, history, trie, width, allowed)
+              for history, width, allowed in requests]
+    favourite = table.rows[-1].item_id
+    for _ in range(20):
+        model.observe_stream(user_stream(table, [favourite] * 3, 3))
+    after = [beam_decode(model, history, trie, width, allowed)
+             for history, width, allowed in requests]
+    assert after != before
+    _assert_matches_reference(model, trie, requests)
 
 
 def test_beam_rejects_bad_arguments(decode_setup):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -77,6 +78,43 @@ def test_budget_guard_blocks_call_past_limit():
     with pytest.raises(BudgetExhaustedError):
         gateway.complete(AgentRole.ANNOTATOR, "p", "AssignItem")
     assert gateway.ledger.calls() == 10
+
+
+def test_budget_admits_exactly_max_calls_across_threads():
+    class CountingBackend:
+        def __init__(self):
+            self.calls = []  # list.append is atomic under the GIL
+
+        def generate(self, prompt):
+            self.calls.append(prompt)
+            time.sleep(0.0001)  # waits like a network call, other threads run
+            return "ok"
+
+    backend = CountingBackend()
+    gateway = _gateway(backend, max_calls=100)
+    denied = []
+
+    def worker(w):
+        for i in range(50):
+            try:
+                gateway.complete(AgentRole.ANNOTATOR, f"{w}:{i}", "AssignItem")
+            except BudgetExhaustedError as exc:
+                denied.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(backend.calls) == 100
+    assert gateway.ledger.calls() == 100
+    assert len(denied) == 100
 
 
 def test_ledger_counts_match_invocations():
