@@ -8,9 +8,9 @@ flag and file values pass the same checks of :meth:`RunConfig.from_json`.
 Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
 skips it when the run manifest says its inputs are unchanged and owns the
 gateway's close (which saves the ledger) and the exit codes; a lock file
-keeps writers exclusive. The modules that cluster, and so load numpy
-(``builder``, ``clustering``, ``freeform``), are imported inside the two
-stage bodies that use them, so that no other stage's process pays for them.
+keeps writers exclusive. The modules that load numpy (``builder``,
+``clustering``, ``freeform``) are imported inside the two stage bodies that
+use them, so that no other stage's process pays for them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class RunConfig:
     strict_ingest: bool = True
     build: dict = field(default_factory=dict)
     assign_mode: Literal["per-level", "one-shot"] = "per-level"
-    n_slots: int | None = None
     parallelism: int = 8
     embed_dim: int = 256
     surrogate_order: int = 3
@@ -68,11 +67,6 @@ class RunConfig:
     eval_ks: list[int] = field(default_factory=lambda: [5, 10, 20])
     n_negatives: int = 100
     simulator: Literal["oracle", "llm"] = "oracle"
-    freeform_n_tags: int = 3
-    freeform_min_f: int = 10
-    freeform_max_f: int = 2000
-    freeform_bins: int = 4
-    freeform_kmeans_k: int | None = None
     budget_max_calls: int | None = None
     max_retries: int = 3
     backoff_base: float = 0.5
@@ -438,7 +432,7 @@ def _assign(run: StageRun) -> str:
 
 
 @_stage("encode",
-        lambda run: (run.paths.assignments, run.paths.vocab, run.cfg.n_slots or 0),
+        lambda run: (run.paths.assignments, run.paths.vocab),
         lambda run: [run.paths.semids, run.paths.token_map, run.paths.fixed_slots,
                      run.paths.reports / "vocab_stats.json"])
 def _encode(run: StageRun) -> str:
@@ -448,8 +442,7 @@ def _encode(run: StageRun) -> str:
                for raw in read_jsonl(_require(paths.assignments, "assign"))]
     table = asg.export_semids(records, tree)
     table.save(paths.semids, paths.token_map)
-    n_slots = run.cfg.n_slots or max(tree.max_depth(),
-                                     max((len(r.path) for r in records), default=1))
+    n_slots = max(tree.max_depth(), max((len(r.path) for r in records), default=1))
     rows = asg.export_fixed_slots(records, tree, n_slots)
     asg.write_fixed_slots_csv(rows, paths.fixed_slots)
     stats = asg.vocab_stats(records, tree)
@@ -546,45 +539,27 @@ def _critique_eval(run: StageRun) -> str:
 
 
 @_stage("baseline-freeform",
-        lambda run: (_corpus_source(run), *_backend_parts(run.cfg), run.cfg.seed,
-                     run.cfg.freeform_n_tags, run.cfg.freeform_min_f,
-                     run.cfg.freeform_max_f, run.cfg.freeform_bins,
-                     run.cfg.freeform_kmeans_k, run.cfg.embed_dim),
+        lambda run: (_corpus_source(run), *_backend_parts(run.cfg), run.cfg.seed),
         lambda run: [run.paths.root / "freeform_tags.jsonl",
                      run.paths.reports / "freeform.json"])
 def _baseline_freeform(run: StageRun) -> str:
     from . import freeform
-    from .clustering import HashingProvider
 
-    cfg, paths = run.cfg, run.paths
+    paths = run.paths
     corpus = load_corpus(_corpus_source(run))
     table = freeform.generate_freeform(corpus, run.gateway,
-                                       n_tags_per_item=cfg.freeform_n_tags,
-                                       parallelism=cfg.parallelism)
+                                       parallelism=run.cfg.parallelism)
     table.save(paths.root / "freeform_tags.jsonl")
     summary = {"n_items": len(table.tags_by_item),
                "n_distinct_tags": len(table.frequency),
                "utilization": freeform.tag_utilization(table),
                "failed_items": table.n_failed_items}
     try:
-        pruned = freeform.prune_frequency_bins(
-            table, min_f=cfg.freeform_min_f, max_f=cfg.freeform_max_f,
-            n_bins=cfg.freeform_bins)
-        rows = freeform.pruned_to_semid_rows(pruned)
+        rows = freeform.pruned_to_semid_rows(freeform.prune_frequency_bins(table))
         write_jsonl(paths.root / "freeform_freqbin.jsonl", rows)
         summary["freqbin_items"] = len(rows)
     except freeform.FreeformError as exc:
         summary["freqbin_error"] = str(exc)
-    if cfg.freeform_kmeans_k:
-        try:
-            pruned_km, _ = freeform.prune_kmeans(
-                table, HashingProvider(dim=cfg.embed_dim), k=cfg.freeform_kmeans_k,
-                seed=cfg.seed)
-            rows = freeform.pruned_to_semid_rows(pruned_km)
-            write_jsonl(paths.root / "freeform_kmeans.jsonl", rows)
-            summary["kmeans_items"] = len(rows)
-        except freeform.FreeformError as exc:
-            summary["kmeans_error"] = str(exc)
     write_json(paths.reports / "freeform.json", summary, indent=2,
                sort_keys=True)
     return (f"baseline-freeform: {summary['n_distinct_tags']} tags, "

@@ -199,12 +199,11 @@ def _swap_descent(dist: np.ndarray, medoids: list[int],
 
 
 _RESTART_SIZE_CAP = 512
-_DEFAULT_RESTARTS = 6
+_RESTARTS = 6
+_MAX_SWAP_ITER = 100
 
 
-def k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
-              max_iter: int = 100,
-              n_restarts: int | None = None) -> ClusterResult:
+def k_medoids(vectors: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
     """PAM: greedy BUILD then best-improvement SWAP until no swap improves.
 
     Distances are Euclidean. Each SWAP iteration scores every (medoid,
@@ -214,9 +213,10 @@ def k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
     Swaps of equal cost in exact arithmetic may resolve differently under
     rounding, and so may the descent that follows.
     SWAP alone can stall in a single-swap local optimum, so small instances
-    (n <= 512 by default) additionally descend from ``n_restarts`` seeded
-    random starts and keep the best result; large instances use the BUILD
-    start only. Deterministic for a fixed seed.
+    (n <= ``_RESTART_SIZE_CAP``) additionally descend from ``_RESTARTS``
+    seeded random starts and keep the best result; large instances use the
+    BUILD start only. Each descent makes at most ``_MAX_SWAP_ITER`` swaps.
+    Deterministic for a fixed seed.
     """
     vectors = _check_inputs(vectors, k)
     n = vectors.shape[0]
@@ -224,17 +224,14 @@ def k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
         return ClusterResult(k=k, assignment=np.arange(n), total_cost=0.0,
                              medoid_indices=list(range(n)), cost_history=[0.0])
     dist = _distance_matrix(vectors)
-    if n_restarts is None:
-        n_restarts = _DEFAULT_RESTARTS if n <= _RESTART_SIZE_CAP else 0
-
     starts = [_pam_build(dist, k)]
     rng = np.random.default_rng(seed)
-    for _ in range(n_restarts):
+    for _ in range(_RESTARTS if n <= _RESTART_SIZE_CAP else 0):
         starts.append(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
 
     best: tuple[float, list[int], list[float]] | None = None
     for start in starts:
-        medoids, cost, history = _swap_descent(dist, start, max_iter)
+        medoids, cost, history = _swap_descent(dist, start, _MAX_SWAP_ITER)
         key = (cost, sorted(medoids))
         if best is None or key < (best[0], best[1]):
             best = (cost, sorted(medoids), history)

@@ -68,13 +68,9 @@ class DescriptorTrie:
 
 def build_trie(table: SemidTable) -> DescriptorTrie:
     """Index every item's sequence (trailing EOS stripped)."""
-    eos_token = table.special_tokens[f"special:{EOS}"]
     trie = DescriptorTrie()
     for row in table.rows:
-        tokens = list(row.tokens)
-        if tokens and tokens[-1] == eos_token:
-            tokens = tokens[:-1]
-        trie.insert(tokens, row.item_id)
+        trie.insert(item_unit(table, row.item_id), row.item_id)
     return trie
 
 
@@ -233,31 +229,23 @@ def user_stream(table: SemidTable, item_ids: list[str],
                 order: int) -> list[int]:
     """BOS padding, items joined by the boundary token, closed with EOS."""
     specials = table.special_tokens
-    bos = specials[f"special:{BOS}"]
     sep = specials[f"special:{SEP}"]
-    eos = specials[f"special:{EOS}"]
-    stream = [bos] * max(1, order - 1)
+    stream = [specials[f"special:{BOS}"]] * max(1, order - 1)
     for i, item_id in enumerate(item_ids):
         if i:
             stream.append(sep)
         stream.extend(item_unit(table, item_id))
-    stream.append(eos)
+    stream.append(specials[f"special:{EOS}"])
     return stream
 
 
 def encode_history(table: SemidTable, item_ids: list[str],
                    order: int) -> tuple[int, ...]:
-    """Decode-time context: the user's history ending in a boundary token."""
-    specials = table.special_tokens
-    bos = specials[f"special:{BOS}"]
-    sep = specials[f"special:{SEP}"]
-    context = [bos] * max(1, order - 1)
-    for i, item_id in enumerate(item_ids):
-        if i:
-            context.append(sep)
-        context.extend(item_unit(table, item_id))
-    context.append(sep)
-    return tuple(context)
+    """Decode-time context: the user's stream with its closing EOS swapped
+    for the boundary token, so the next item is predicted after it."""
+    stream = user_stream(table, item_ids, order)
+    stream[-1] = table.special_tokens[f"special:{SEP}"]
+    return tuple(stream)
 
 
 def fit_surrogate(split: SplitDataset, table: SemidTable, order: int = 3,

@@ -1,8 +1,8 @@
-"""Free-form tag generation baseline with the two pruning schemes.
+"""Free-form tag generation baseline with frequency-bin pruning.
 
 Unconstrained tagging explodes the vocabulary (most tags occur once); the
-frequency-bin and K-Means pruners compress each item's tag set into short
-coarse-to-fine sequences for comparison against pipeline descriptors.
+frequency-bin pruner compresses each item's tag set into a short
+coarse-to-fine sequence for comparison against pipeline descriptors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import prompts, wire
-from .clustering import embed_batch, k_means
+from .clustering import embed_batch  # noqa: F401 (a name the benchmark tracer wraps)
 from .corpus import Corpus
 from .gateway import AgentRole, Gateway, fan_out
 from .protocol import parse_keywords
@@ -136,31 +136,6 @@ def prune_frequency_bins(table: FreeformTagTable, min_f: int = 10,
                 best[bin_id] = tag
         out[item_id] = [best[b] for b in sorted(best)]
     return out
-
-
-def prune_kmeans(table: FreeformTagTable, provider, k: int = 5000,
-                 seed: int = 0) -> tuple[dict[str, list[str]], dict[str, int]]:
-    """Replace tags by K-Means centroid ids over tag embeddings.
-
-    Returns (item -> deduplicated centroid-id sequence, tag -> centroid id).
-    """
-    distinct = sorted(tag for tag, freq in table.frequency.items() if freq >= 1)
-    if len(distinct) < k:
-        raise FreeformError(
-            f"need at least k={k} distinct tags, have {len(distinct)}")
-    vectors = embed_batch(provider, distinct)
-    result = k_means(vectors, k, seed=seed)
-    centroid_of = {tag: int(result.assignment[i])
-                   for i, tag in enumerate(distinct)}
-    out: dict[str, list[str]] = {}
-    for item_id, tags in table.tags_by_item.items():
-        seq: list[str] = []
-        for tag in tags:
-            cid = f"centroid:{centroid_of[tag]}"
-            if cid not in seq:
-                seq.append(cid)
-        out[item_id] = seq
-    return out, centroid_of
 
 
 def pruned_to_semid_rows(pruned: dict[str, list[str]]) -> list[dict]:

@@ -10,6 +10,7 @@ recovery and purity checks.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -90,24 +91,14 @@ class PlantedTaxonomy:
 
 def build_taxonomy(branching: tuple[int, ...]) -> PlantedTaxonomy:
     """A complete tree with ``branching[d]`` children at each depth d."""
-    tax = PlantedTaxonomy()
-    tax.depth[ROOT_NAME] = 0
-    counter = 0
+    names = map(_node_name, itertools.count())
+    children: dict[str, list[str]] = {}
     frontier = [ROOT_NAME]
     for fanout in branching:
-        next_frontier: list[str] = []
         for parent in frontier:
-            kids = []
-            for _ in range(fanout):
-                name = _node_name(counter)
-                counter += 1
-                kids.append(name)
-                tax.parent[name] = parent
-                tax.depth[name] = tax.depth[parent] + 1
-            tax.children[parent] = kids
-            next_frontier.extend(kids)
-        frontier = next_frontier
-    return tax
+            children[parent] = [next(names) for _ in range(fanout)]
+        frontier = [kid for parent in frontier for kid in children[parent]]
+    return PlantedTaxonomy.from_json({"children": children})
 
 
 @dataclass

@@ -80,11 +80,11 @@ def reference_swap_descent(dist: np.ndarray, medoids: list[int],
     return medoids, cost, history
 
 
-def reference_k_medoids(vectors: np.ndarray, k: int, seed: int = 0,
-                        **kwargs) -> clustering.ClusterResult:
+def reference_k_medoids(vectors: np.ndarray, k: int,
+                        seed: int = 0) -> clustering.ClusterResult:
     """``clustering.k_medoids`` with every descent run by the reference SWAP."""
     with mock.patch.object(clustering, "_swap_descent", reference_swap_descent):
-        return clustering.k_medoids(vectors, k, seed=seed, **kwargs)
+        return clustering.k_medoids(vectors, k, seed=seed)
 
 
 def surrogate_prob(model: SurrogateModel, token: int,

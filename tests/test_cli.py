@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -664,6 +665,10 @@ def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
     pytest.param([], {"build": {"parallelism": 2}}, id="build.parallelism"),
     pytest.param([], {"build": {"item_text_budget": 1500}},
                  id="build.item_text_budget"),
+    *(pytest.param([], {key: value}, id=key)
+      for key, value in [("n_slots", 4), ("freeform_n_tags", 3),
+                         ("freeform_min_f", 10), ("freeform_max_f", 2000),
+                         ("freeform_bins", 4), ("freeform_kmeans_k", 50)]),
 ])
 def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world,
                                                   flags, extra):
@@ -721,6 +726,48 @@ def test_backend_identity_is_an_llm_stage_input(tmp_path, key, value):
         assert digest(base, name) != digest(base | {key: value}, name), name
 
 
+# A type-valid value other than the default for every config key but
+# run_dir, whose paths are hashed into the digests anyway.
+OTHER_VALUES = {
+    "backend": "http", "seed": 11, "corpus_path": "other/corpus.jsonl",
+    "interactions_path": "other/interactions.jsonl", "strict_ingest": False,
+    "build": {"d_max": 2}, "assign_mode": "one-shot", "parallelism": 3,
+    "embed_dim": 64, "surrogate_order": 2, "surrogate_alpha": 0.5,
+    "beam_width": 30, "eval_mode": "sampled", "eval_ks": [5, 10],
+    "n_negatives": 50, "simulator": "llm", "budget_max_calls": 100,
+    "max_retries": 1, "backoff_base": 0.1, "mock_world_path": "other/world.json",
+    "mock_hidden_categories": ["x"], "mock_false_negative_rate": 0.1,
+    "http_endpoint": "http://b.invalid/v1", "http_architect_model": "other",
+    "http_annotator_model": "other", "http_auth_env": "OTHER_KEY",
+    "http_temperature": 0.7,
+}
+# The README's list of the keys that re-run no stage.
+RERUNS_NO_STAGE = {"parallelism", "budget_max_calls", "max_retries",
+                   "backoff_base", "http_auth_env"}
+
+
+def test_every_config_key_is_a_stage_input_or_reruns_no_stage(tmp_path):
+    """A key that changes no stage digest and is not on the list is read by
+    no stage, or its change leaves stale outputs current."""
+    defaults = cli.RunConfig()
+    keys = {f.name for f in dataclasses.fields(defaults)} - {"run_dir"}
+    assert set(OTHER_VALUES) == keys
+    assert all(getattr(defaults, key) != value for key, value in OTHER_VALUES.items())
+    base = {"run_dir": str(tmp_path / "run"),
+            "corpus_path": str(tmp_path / "corpus.jsonl")}
+
+    def digests(payload):
+        run = cli.StageRun(cli.RunConfig.from_json(payload),
+                           RunPaths(tmp_path / "run"), force=False)
+        return {name: inputs_hash(*stage.inputs(run))
+                for name, stage in cli.STAGES.items()}
+
+    before = digests(base)
+    inert = {key for key, value in OTHER_VALUES.items()
+             if digests(base | {key: value}) == before}
+    assert inert == RERUNS_NO_STAGE
+
+
 @pytest.mark.parametrize("stage", ["fit", "recommend", "evaluate", "critique-eval"])
 def test_decode_stage_names_the_missing_file(tmp_path, capsys, small_world, stage):
     config_path = _mock_config(tmp_path, small_world)
@@ -736,11 +783,12 @@ def test_decode_stage_names_the_missing_file(tmp_path, capsys, small_world, stag
 def test_config_accepts_null_for_optional_fields(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({
-        "run_dir": str(tmp_path / "r"), "n_slots": None, "budget_max_calls": None,
-        "corpus_path": None, "freeform_kmeans_k": None, "surrogate_alpha": 1}))
+        "run_dir": str(tmp_path / "r"), "http_endpoint": None,
+        "budget_max_calls": None, "corpus_path": None, "mock_world_path": None,
+        "surrogate_alpha": 1}))
     assert dispatch(["report", "--config", str(config_path)]) == 0
     snapshot = read_json(tmp_path / "r/config.json")
-    assert snapshot["n_slots"] is None and snapshot["surrogate_alpha"] == 1
+    assert snapshot["http_endpoint"] is None and snapshot["surrogate_alpha"] == 1
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from tagforge.freeform import (FreeformError, FreeformTagTable,
                                frequency_bins, generate_freeform,
-                               prune_frequency_bins, prune_kmeans,
-                               pruned_to_semid_rows, tag_utilization)
+                               prune_frequency_bins, pruned_to_semid_rows,
+                               tag_utilization)
 from tagforge.gateway import BudgetExhaustedError
 from tagforge.planted import make_world
 
@@ -114,33 +114,6 @@ def test_frequency_bins_requires_eligible_tags():
         frequency_bins(_table({"a": 1}), min_f=10, max_f=2000)
     with pytest.raises(FreeformError):
         frequency_bins(_table({"a": 50}), min_f=100, max_f=10)
-
-
-def test_prune_kmeans_identity_when_k_equals_tags(provider):
-    items = {"x": ["alpha", "beta"], "y": ["gamma"]}
-    freqs = {"alpha": 1, "beta": 1, "gamma": 1}
-    pruned, centroid_of = prune_kmeans(_table(freqs, items), provider, k=3,
-                                       seed=0)
-    assert len(set(centroid_of.values())) == 3
-    assert pruned["x"] == [f"centroid:{centroid_of['alpha']}",
-                           f"centroid:{centroid_of['beta']}"]
-
-
-def test_prune_kmeans_merges_identical_embeddings(provider):
-    # Same token multiset hashes to the same vector, so the two surface
-    # forms land in one centroid.
-    items = {"x": ["blue sky", "sky blue"], "y": ["mud"], "z": ["fire"]}
-    freqs = {"blue sky": 1, "sky blue": 1, "mud": 1, "fire": 1}
-    pruned, centroid_of = prune_kmeans(_table(freqs, items), provider, k=3,
-                                       seed=1)
-    assert centroid_of["blue sky"] == centroid_of["sky blue"]
-    assert pruned["x"] == [f"centroid:{centroid_of['blue sky']}"]
-    assert all(len(seq) <= len(items[i]) for i, seq in pruned.items())
-
-
-def test_prune_kmeans_requires_enough_tags(provider):
-    with pytest.raises(FreeformError):
-        prune_kmeans(_table({"a": 1}, {"x": ["a"]}), provider, k=5)
 
 
 def test_pruned_semid_rows_layout():
