@@ -554,12 +554,6 @@ def _baseline_freeform(run: StageRun) -> str:
                "n_distinct_tags": len(table.frequency),
                "utilization": freeform.tag_utilization(table),
                "failed_items": table.n_failed_items}
-    try:
-        rows = freeform.pruned_to_semid_rows(freeform.prune_frequency_bins(table))
-        write_jsonl(paths.root / "freeform_freqbin.jsonl", rows)
-        summary["freqbin_items"] = len(rows)
-    except freeform.FreeformError as exc:
-        summary["freqbin_error"] = str(exc)
     write_json(paths.reports / "freeform.json", summary, indent=2,
                sort_keys=True)
     return (f"baseline-freeform: {summary['n_distinct_tags']} tags, "
@@ -574,7 +568,7 @@ def _baseline_freeform(run: StageRun) -> str:
 def _report(run: StageRun) -> str:
     """Writes ``summary.json``; prints its path, then one line per (role,
     template) in the transcript: ``latency <role>/<template> calls=<n>
-    p50_ms=<x> p95_ms=<y>``."""
+    p50_ms=<x> p95_ms=<y> max_ms=<z>``."""
     paths = run.paths
     summary: dict = {}
     if paths.build_report.exists():
@@ -598,7 +592,7 @@ def _report(run: StageRun) -> str:
     return "\n".join(
         [f"report: wrote {paths.reports / 'summary.json'}"]
         + [f"latency {key} calls={row['calls']} p50_ms={row['p50_ms']} "
-           f"p95_ms={row['p95_ms']}"
+           f"p95_ms={row['p95_ms']} max_ms={row['max_ms']}"
            for key, row in summary.get("latency", {}).items()])
 
 

@@ -1,8 +1,8 @@
-"""Free-form tag generation baseline with frequency-bin pruning.
+"""Free-form tag generation baseline.
 
-Unconstrained tagging explodes the vocabulary (most tags occur once); the
-frequency-bin pruner compresses each item's tag set into a short
-coarse-to-fine sequence for comparison against pipeline descriptors.
+Unconstrained tagging explodes the vocabulary: most tags occur once. The
+baseline records each item's tags and reports how many distinct tags there
+are and what share of them more than one item uses.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import prompts, wire
-from .clustering import embed_batch  # noqa: F401 (a name the benchmark tracer wraps)
+# Imported only because the benchmark tracer wraps ``freeform.embed_batch``;
+# it is the one reason this module loads numpy.
+from .clustering import embed_batch  # noqa: F401
 from .corpus import Corpus
 from .gateway import AgentRole, Gateway, fan_out
 from .protocol import parse_keywords
-from .runs import read_jsonl, write_jsonl
-
-
-class FreeformError(ValueError):
-    pass
+from .runs import write_jsonl
 
 
 def normalize_tag(tag: str) -> str:
@@ -43,13 +41,6 @@ class FreeformTagTable:
     def save(self, path: str | Path) -> None:
         write_jsonl(path, ({"item_id": item_id, "tags": self.tags_by_item[item_id]}
                            for item_id in sorted(self.tags_by_item)))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FreeformTagTable":
-        table = cls(tags_by_item={row["item_id"]: list(row["tags"])
-                                  for row in read_jsonl(path)})
-        table.rebuild_frequency()
-        return table
 
 
 def generate_freeform(corpus: Corpus, gateway: Gateway, n_tags_per_item: int = 3,
@@ -90,64 +81,3 @@ def tag_utilization(table: FreeformTagTable) -> float:
         return 0.0
     reused = sum(1 for tag in used if table.frequency[tag] >= 2)
     return reused / len(used)
-
-
-def frequency_bins(table: FreeformTagTable, min_f: int = 10, max_f: int = 2000,
-                   n_bins: int = 4) -> dict[str, int]:
-    """Equal-population bins over eligible tags by frequency rank.
-
-    Bin 0 holds the most frequent tags; populations differ by at most one.
-    Tags rarer than ``min_f`` or more common than ``max_f`` are dropped.
-    """
-    if min_f >= max_f:
-        raise FreeformError("min_f must be < max_f")
-    eligible = [(tag, freq) for tag, freq in table.frequency.items()
-                if min_f <= freq <= max_f]
-    if not eligible:
-        raise FreeformError("no tags fall inside the frequency window")
-    eligible.sort(key=lambda tf: (-tf[1], tf[0]))
-    n = len(eligible)
-    base, remainder = divmod(n, n_bins)
-    bin_of: dict[str, int] = {}
-    index = 0
-    for bin_id in range(n_bins):
-        size = base + (1 if bin_id < remainder else 0)
-        for tag, _ in eligible[index:index + size]:
-            bin_of[tag] = bin_id
-        index += size
-    return bin_of
-
-
-def prune_frequency_bins(table: FreeformTagTable, min_f: int = 10,
-                         max_f: int = 2000,
-                         n_bins: int = 4) -> dict[str, list[str]]:
-    """Per item, the most frequent tag from each populated bin, coarse first."""
-    bin_of = frequency_bins(table, min_f=min_f, max_f=max_f, n_bins=n_bins)
-    out: dict[str, list[str]] = {}
-    for item_id, tags in table.tags_by_item.items():
-        best: dict[int, str] = {}
-        for tag in tags:
-            bin_id = bin_of.get(tag)
-            if bin_id is None:
-                continue
-            cur = best.get(bin_id)
-            if (cur is None or table.frequency[tag] > table.frequency[cur]
-                    or (table.frequency[tag] == table.frequency[cur] and tag < cur)):
-                best[bin_id] = tag
-        out[item_id] = [best[b] for b in sorted(best)]
-    return out
-
-
-def pruned_to_semid_rows(pruned: dict[str, list[str]]) -> list[dict]:
-    """Pruned sequences in the semantic-ID JSONL layout for comparison."""
-    vocab: dict[str, int] = {}
-    rows = []
-    for item_id in sorted(pruned):
-        tokens = []
-        for tag in pruned[item_id]:
-            if tag not in vocab:
-                vocab[tag] = len(vocab)
-            tokens.append(vocab[tag])
-        rows.append({"item_id": item_id, "tokens": tokens,
-                     "path_names": list(pruned[item_id])})
-    return rows

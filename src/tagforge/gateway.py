@@ -140,8 +140,8 @@ class CallLedger:
 
 
 def transcript_latency(path: str | Path) -> dict[str, dict[str, float]]:
-    """Calls and the p50 and p95 ``latency_ms`` per ``role/template_id`` in
-    a transcript file, keyed as in :meth:`CallLedger.snapshot`."""
+    """Calls and the p50, p95 and max ``latency_ms`` per ``role/template_id``
+    in a transcript file, keyed as in :meth:`CallLedger.snapshot`."""
     # Imported here: it loads fractions and decimal, which no call needs.
     import statistics
 
@@ -156,7 +156,7 @@ def transcript_latency(path: str | Path) -> dict[str, dict[str, float]]:
         return round(statistics.quantiles(values, n=100, method="inclusive")[q - 1], 3)
 
     return {key: {"calls": len(values), "p50_ms": percentile(values, 50),
-                  "p95_ms": percentile(values, 95)}
+                  "p95_ms": percentile(values, 95), "max_ms": max(values)}
             for key, values in sorted(latencies.items())}
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corpus import Corpus, Interaction, Item, write_corpus, write_interactions
 from .runs import read_json
-from .vocab import ROOT_DESCRIPTION, ROOT_NAME  # noqa: F401 (re-exported)
+from .vocab import ROOT_NAME
 
 _SYLLABLES = ["ba", "ce", "di", "fo", "gu", "ha", "ki", "lo",
               "mu", "ne", "po", "ru", "sa", "te", "vi", "za"]

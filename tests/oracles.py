@@ -12,7 +12,9 @@ import numpy as np
 from tagforge import clustering
 from tagforge.assignment import EOS, AssignmentError, AssignmentRecord, SemidTable
 from tagforge.decoding import DecodingError, DescriptorTrie, SurrogateModel
+from tagforge.freeform import FreeformTagTable
 from tagforge.protocol import ReviewDecision
+from tagforge.runs import read_jsonl
 
 
 def brute_force_medoids(vectors: np.ndarray, k: int) -> tuple[list[int], float]:
@@ -178,6 +180,14 @@ def decode_semids(table: SemidTable) -> list[AssignmentRecord]:
             item_id=row.item_id, path=path,
             resolver=int(resolver_name.split(":", 1)[1])))
     return records
+
+
+def load_freeform_table(path) -> FreeformTagTable:
+    """Invert ``FreeformTagTable.save``, frequencies rebuilt from the tags."""
+    table = FreeformTagTable(tags_by_item={row["item_id"]: list(row["tags"])
+                                           for row in read_jsonl(path)})
+    table.rebuild_frequency()
+    return table
 
 
 def serialize_reviews(reviews: list[ReviewDecision]) -> str:

@@ -138,7 +138,7 @@ def test_stages_are_idempotent(workspace, capsys):
 def test_model_file_has_version_header(workspace):
     root, _, _ = workspace
     payload = json.loads((root / "run/model.bin").read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == cli.dec.SurrogateModel.FORMAT_VERSION
 
 
 def test_fit_reruns_when_the_model_format_changes(workspace, tmp_path,
@@ -151,10 +151,11 @@ def test_fit_reruns_when_the_model_format_changes(workspace, tmp_path,
     for _ in range(2):  # the first run re-fits: the run directory moved
         assert run(config_path, "fit") == 0
     assert capsys.readouterr().out.endswith("fit: up to date, skipping\n")
-    monkeypatch.setattr(cli.dec.SurrogateModel, "FORMAT_VERSION", 2)
+    bumped = cli.dec.SurrogateModel.FORMAT_VERSION + 1
+    monkeypatch.setattr(cli.dec.SurrogateModel, "FORMAT_VERSION", bumped)
     assert run(config_path, "fit") == 0
     assert capsys.readouterr().out.startswith("fit: order-3 model over ")
-    assert read_json(tmp_path / "run/model.bin")["format_version"] == 2
+    assert read_json(tmp_path / "run/model.bin")["format_version"] == bumped
 
 
 def test_build_report_n_semid_notation(workspace):
@@ -512,7 +513,8 @@ def test_report_prints_latency_per_template(tmp_path, capsys):
 
     expected = [f"latency {key} calls={len(values)} "
                 f"p50_ms={round(percentile(values, 50), 3)} "
-                f"p95_ms={round(percentile(values, 95), 3)}"
+                f"p95_ms={round(percentile(values, 95), 3)} "
+                f"max_ms={max(values)}"
                 for key, values in sorted(latencies.items())]
     assert lines == expected
     ledger = {f"{row['role']}/{row['template_id']}": row["calls"]
@@ -521,7 +523,27 @@ def test_report_prints_latency_per_template(tmp_path, capsys):
     assert {"annotator/AssignItem", "annotator/FreeformTag"} <= set(ledger)
     summary = read_json(run_dir / "reports/summary.json")["latency"]
     assert [f"latency {key} calls={row['calls']} p50_ms={row['p50_ms']} "
-            f"p95_ms={row['p95_ms']}" for key, row in summary.items()] == expected
+            f"p95_ms={row['p95_ms']} max_ms={row['max_ms']}"
+            for key, row in summary.items()] == expected
+
+
+def test_baseline_freeform_writes_only_the_tag_table_and_its_summary(tmp_path):
+    world = make_world(branching=(3,), n_items=30, seed=7)
+    config_path = _mock_config(tmp_path, world)
+    assert dispatch(["baseline-freeform", "--config", str(config_path)]) == 0
+    run_dir = tmp_path / "run"
+    written = {path.relative_to(run_dir).as_posix()
+               for path in run_dir.rglob("*") if path.is_file()}
+    # Beside the run's own config, manifest, ledger and transcript.
+    assert written == {"config.json", "manifest.json", "ledger.jsonl",
+                       "transcript.jsonl", "freeform_tags.jsonl",
+                       "reports/freeform.json"}
+    summary = read_json(run_dir / "reports/freeform.json")
+    assert set(summary) == {"n_items", "n_distinct_tags", "utilization",
+                            "failed_items"}
+    assert summary["n_items"] == 30 and summary["failed_items"] == 0
+    rows = read_jsonl(run_dir / "freeform_tags.jsonl")
+    assert [row["item_id"] for row in rows] == sorted(world.corpus.item_ids)
 
 
 def test_refused_node_init_fails_only_that_node(tmp_path, monkeypatch):
