@@ -28,8 +28,7 @@ from . import assignment as asg
 from . import decoding as dec
 from . import evalkit
 from .corpus import (IngestReport, last_out_split, load_corpus,
-                     load_interactions, read_splits, write_corpus,
-                     write_interactions, write_splits)
+                     load_interactions, read_splits, write_corpus, write_splits)
 from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
                       CallLedger, Gateway, HttpBackend, TransportExhaustedError,
                       transcript_latency)
@@ -360,7 +359,6 @@ def _ingest(run: StageRun) -> str:
     if cfg.interactions_path:
         interactions = load_interactions(cfg.interactions_path, corpus,
                                          strict=cfg.strict_ingest, report=report)
-        write_interactions(interactions, paths.interactions)
         split = last_out_split(interactions, report=report)
         write_splits(split, paths.splits)
         summary.update({"n_interactions": len(interactions),

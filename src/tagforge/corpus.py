@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .runs import read_jsonl, write_jsonl
@@ -81,7 +82,7 @@ class Corpus:
         return [item.item_id for item in self._items]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     user_id: str
     item_id: str
@@ -152,10 +153,13 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
     """Read interaction JSONL sorted by (user_id, timestamp, input order).
 
     Interactions referencing item_ids absent from ``corpus`` are an error in
-    strict mode and are dropped (and counted in ``report``) otherwise.
+    strict mode and are dropped (and counted in ``report``) otherwise. Each
+    row is one ``Interaction``; equal user ids share one string, and with a
+    corpus every item id is the corpus's own string.
     """
     path = Path(path)
-    rows: list[tuple[str, int, int, str]] = []
+    users: dict[str, str] = {}
+    rows: list[Interaction] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -168,15 +172,22 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
                 timestamp = int(raw["timestamp"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            if corpus is not None and item_id not in corpus:
-                if strict:
-                    raise CorpusError(f"{path}:{lineno}: unknown item_id {item_id!r}")
-                if report is not None:
-                    report.unknown_items += 1
-                continue
-            rows.append((user_id, timestamp, lineno, item_id))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [Interaction(user_id=u, item_id=i, timestamp=t) for u, t, _, i in rows]
+            if corpus is not None:
+                if item_id not in corpus:
+                    if strict:
+                        raise CorpusError(f"{path}:{lineno}: unknown item_id {item_id!r}")
+                    if report is not None:
+                        report.unknown_items += 1
+                    continue
+                item_id = corpus.get(item_id).item_id
+            rows.append(Interaction(users.setdefault(user_id, user_id), item_id,
+                                    timestamp))
+    # Rows are in line order and list.sort is stable, so sorting by
+    # timestamp and then by user gives (user_id, timestamp, line) order
+    # without a key tuple per row.
+    rows.sort(key=attrgetter("timestamp"))
+    rows.sort(key=attrgetter("user_id"))
+    return rows
 
 
 def write_interactions(interactions: list[Interaction], path: str | Path) -> None:

@@ -41,8 +41,6 @@ class RunPaths:
     @property
     def corpus(self) -> Path: return self.root / "corpus.jsonl"
     @property
-    def interactions(self) -> Path: return self.root / "interactions.jsonl"
-    @property
     def splits(self) -> Path: return self.root / "splits.jsonl"
     @property
     def ledger(self) -> Path: return self.root / "ledger.jsonl"
@@ -121,13 +119,18 @@ def read_json(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def inputs_hash(*parts: object) -> str:
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, Path):
             digest.update(str(part).encode())
             if part.exists():
-                digest.update(part.read_bytes())
+                with part.open("rb") as fh:
+                    while chunk := fh.read(_HASH_CHUNK):
+                        digest.update(chunk)
         else:
             digest.update(json.dumps(part, sort_keys=True, default=str).encode())
         digest.update(b"\x00")

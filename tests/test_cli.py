@@ -18,7 +18,9 @@ from tagforge.cli import dispatch
 from tagforge.gateway import BackendRefusalError
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
-from tagforge.corpus import read_splits, write_corpus, write_interactions
+from tagforge.corpus import (last_out_split, load_corpus, load_interactions,
+                             read_splits, write_corpus, write_interactions,
+                             write_splits)
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
 from conftest import FaultBackend
@@ -189,6 +191,20 @@ def _mock_config(tmp_path, world, **extra):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     return config_path
+
+
+def test_ingest_reads_interactions_in_place(tmp_path):
+    world = make_world(branching=(3, 3), n_items=150, seed=5)
+    interactions = tmp_path / "interactions.jsonl"
+    write_interactions(make_interactions(world, n_users=40, seed=6), interactions)
+    config_path = _mock_config(tmp_path, world, interactions_path=str(interactions))
+    assert run(config_path, "ingest") == 0
+    run_dir = tmp_path / "run"
+    assert not (run_dir / "interactions.jsonl").exists()
+    expected = tmp_path / "expected_splits.jsonl"
+    corpus = load_corpus(tmp_path / "data" / "corpus.jsonl")
+    write_splits(last_out_split(load_interactions(interactions, corpus)), expected)
+    assert (run_dir / "splits.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_budget_interrupt_then_resume(tmp_path):

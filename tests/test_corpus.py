@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from tagforge.corpus import (CorpusError, IngestReport, Interaction,
+from tagforge.corpus import (Corpus, CorpusError, IngestReport, Interaction, Item,
                              last_out_split, load_corpus, load_interactions,
                              read_splits, write_corpus, write_splits)
 
@@ -124,6 +125,30 @@ def test_load_interactions_unknown_item_strict_vs_lenient(tmp_path):
     records = load_interactions(path, corpus, strict=False, report=report)
     assert len(records) == 1
     assert report.unknown_items == 1
+
+
+def test_load_interactions_memory_per_row(tmp_path):
+    # 50k rows over 5k users and 2k items, with Unix-second timestamps as in
+    # the Amazon logs. The bound is per row of the traced peak, the corpus
+    # excluded: one slotted record per row, with shared user and item id
+    # strings, stays well under it; a second list of per-row tuples or key
+    # tuples alive beside the records does not.
+    rng = random.Random(11)
+    corpus = Corpus([Item(item_id=f"item-{i:05d}", title=f"t{i}") for i in range(2000)])
+    n_rows = 50_000
+    path = _write_jsonl(tmp_path / "inter.jsonl", (
+        {"user_id": f"user-{rng.randrange(5000):05d}",
+         "item_id": f"item-{rng.randrange(2000):05d}",
+         "timestamp": 1_300_000_000 + rng.randrange(100_000_000)}
+        for _ in range(n_rows)))
+    tracemalloc.start()
+    try:
+        records = load_interactions(path, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n_rows
+    assert peak / n_rows < 180, f"{peak / n_rows:.1f} B/row"
 
 
 def test_last_out_split_definition():
