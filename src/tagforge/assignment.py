@@ -104,15 +104,17 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     """
     if mode not in ("per-level", "one-shot"):
         raise AssignmentError(f"unknown assignment mode {mode!r}")
-    # Each rule list is rendered once per batch, not once per item.
+    # Each prompt's fixed text is rendered once per batch, not once per item.
     if mode == "per-level":
-        rules_text = {rule_id: wire.rules_text(tree.children_of(rule_id))
-                      for rule_id, children in tree.children.items() if children}
+        frames = {rule_id: _assign_frame(wire.rules_text(tree.children_of(rule_id)),
+                                         prompts.ASSIGN_BEST_INSTRUCTION)
+                  for rule_id, children in tree.children.items() if children}
         worker = partial(_descend, tree=tree, gateway=gateway,
-                         annotations=annotations or {}, rules_text=rules_text)
+                         annotations=annotations or {}, frames=frames)
     else:
         worker = partial(_one_shot, tree=tree, gateway=gateway,
-                         rules_text=_vocabulary_text(tree))
+                         frame=_assign_frame(_vocabulary_text(tree),
+                                             prompts.ASSIGN_PATH_INSTRUCTION))
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         results = fan_out(pool, worker, items, width=parallelism)
@@ -128,40 +130,39 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
     return records
 
 
+def _assign_frame(rules_text: str, instruction: str) -> tuple[str, str]:
+    return prompts.prompt_frame(prompts.ASSIGN_ITEM, {
+        "rules_text": rules_text, "instruction": instruction}, "item_text")
+
+
 def _descend(item, tree: VocabularyTree, gateway: Gateway,
              annotations: Annotations,
-             rules_text: Mapping[str, str]) -> AssignmentRecord:
-    """``rules_text`` holds each internal node's rendered child rules."""
-    node = tree.root
+             frames: Mapping[str, tuple[str, str]]) -> AssignmentRecord:
+    """``frames`` holds each internal node's prompt around the item line."""
+    item_text = wire.item_line(item.item_id, item.prompt_text())
+    rule_id = tree.root_id
     path: list[str] = []
     flag = None
-    while True:
-        children = tree.children_of(node.rule_id)
-        if not children:
-            break
-        matched = annotations.get(node.rule_id, {}).get(item.item_id, ())
+    while children := tree.children.get(rule_id):
+        matched = annotations.get(rule_id, {}).get(item.item_id, ())
         if len(matched) == 1:
             choice = matched[0]
         else:
-            prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-                "rules_text": rules_text[node.rule_id],
-                "item_text": wire.item_line(item.item_id, item.prompt_text()),
-                "instruction": prompts.ASSIGN_BEST_INSTRUCTION,
-            })
+            head, tail = frames[rule_id]
             try:
-                choice = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,
-                                                 prompts.ASSIGN_ITEM, parse_best_rule)
+                choice = gateway.complete_parsed(
+                    AgentRole.ANNOTATOR, head + item_text + tail,
+                    prompts.ASSIGN_ITEM, parse_best_rule)
             except ProtocolError:
                 flag = "truncated: unparseable choice"
                 break
         if choice == STOP:
             break
-        child = next((c for c in children if c.rule_id == choice), None)
-        if child is None:
+        if choice not in children:
             flag = "truncated: unknown rule id"
             break
-        path.append(child.rule_id)
-        node = child
+        path.append(choice)
+        rule_id = choice
     if not path and flag is None:
         flag = "no-path"
     return AssignmentRecord(item_id=item.item_id, path=tuple(path), flag=flag)
@@ -175,12 +176,9 @@ def _vocabulary_text(tree: VocabularyTree) -> str:
 
 
 def _one_shot(item, tree: VocabularyTree, gateway: Gateway,
-              rules_text: str) -> AssignmentRecord:
-    prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-        "rules_text": rules_text,
-        "item_text": wire.item_line(item.item_id, item.prompt_text()),
-        "instruction": prompts.ASSIGN_PATH_INSTRUCTION,
-    })
+              frame: tuple[str, str]) -> AssignmentRecord:
+    head, tail = frame
+    prompt = head + wire.item_line(item.item_id, item.prompt_text()) + tail
     flag = None
     try:
         chosen = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,

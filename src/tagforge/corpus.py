@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .runs import read_jsonl, write_jsonl
+from .runs import atomic_open, read_jsonl, write_jsonl
+
+# A str's JSON literal, as json.dumps writes it.
+_json_string = json.JSONEncoder().encode
 
 
 class CorpusError(ValueError):
@@ -160,6 +163,8 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
     path = Path(path)
     users: dict[str, str] = {}
     rows: list[Interaction] = []
+    if corpus is not None:
+        index, items = corpus._index, corpus._items
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -173,13 +178,14 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             if corpus is not None:
-                if item_id not in corpus:
+                pos = index.get(item_id)
+                if pos is None:
                     if strict:
                         raise CorpusError(f"{path}:{lineno}: unknown item_id {item_id!r}")
                     if report is not None:
                         report.unknown_items += 1
                     continue
-                item_id = corpus.get(item_id).item_id
+                item_id = items[pos].item_id
             rows.append(Interaction(users.setdefault(user_id, user_id), item_id,
                                     timestamp))
     # Rows are in line order and list.sort is stable, so sorting by
@@ -223,10 +229,17 @@ def last_out_split(interactions: list[Interaction],
 
 
 def write_splits(split: SplitDataset, path: str | Path) -> None:
-    write_jsonl(path, (row for user_id in sorted(split.train) for row in (
-        {"split": "train", "user_id": user_id, "item_ids": split.train[user_id]},
-        {"split": "valid", "user_id": user_id, "item_id": split.valid[user_id]},
-        {"split": "test", "user_id": user_id, "item_id": split.test[user_id]})))
+    """Three lines per user, each what ``json.dumps`` makes of its row, built
+    without the row dict and the encoder ``json.dumps`` makes for it."""
+    with atomic_open(path) as fh:
+        for user_id in sorted(split.train):
+            user = _json_string(user_id)
+            item_ids = ", ".join(map(_json_string, split.train[user_id]))
+            fh.write(f'{{"split": "train", "user_id": {user}, "item_ids": [{item_ids}]}}\n'
+                     f'{{"split": "valid", "user_id": {user}, '
+                     f'"item_id": {_json_string(split.valid[user_id])}}}\n'
+                     f'{{"split": "test", "user_id": {user}, '
+                     f'"item_id": {_json_string(split.test[user_id])}}}\n')
 
 
 def read_splits(path: str | Path) -> SplitDataset:

@@ -46,12 +46,11 @@ class FreeformTagTable:
 def generate_freeform(corpus: Corpus, gateway: Gateway, n_tags_per_item: int = 3,
                       parallelism: int = 8) -> FreeformTagTable:
     """One tagging call per item; failures yield empty tag lists, counted."""
+    head, tail = prompts.prompt_frame(
+        prompts.FREEFORM_TAG, {"n_tags": str(n_tags_per_item)}, "item_text")
 
     def tag_item(item) -> list[str]:
-        prompt = prompts.render_prompt(prompts.FREEFORM_TAG, {
-            "n_tags": str(n_tags_per_item),
-            "item_text": wire.item_line(item.item_id, item.prompt_text()),
-        })
+        prompt = head + wire.item_line(item.item_id, item.prompt_text()) + tail
         keywords = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,
                                            prompts.FREEFORM_TAG, parse_keywords)
         seen = []

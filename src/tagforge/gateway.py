@@ -37,6 +37,9 @@ from .runs import read_jsonl, write_jsonl
 # Re-asks, each with the format reminder appended, after a malformed response.
 MAX_REASKS = 2
 
+# A str's JSON literal, as json.dumps(..., ensure_ascii=False) writes it.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class AgentRole(str, enum.Enum):
     ARCHITECT = "architect"
@@ -141,19 +144,24 @@ class CallLedger:
 
 def transcript_latency(path: str | Path) -> dict[str, dict[str, float]]:
     """Calls and the p50, p95 and max ``latency_ms`` per ``role/template_id``
-    in a transcript file, keyed as in :meth:`CallLedger.snapshot`."""
-    # Imported here: it loads fractions and decimal, which no call needs.
-    import statistics
+    in a transcript file, keyed as in :meth:`CallLedger.snapshot`.
 
+    The q-th percentile interpolates linearly between the two closest ranks
+    of the sorted latencies, at position ``(n - 1) * q / 100``, and is
+    rounded to the microsecond.
+    """
     latencies: dict[str, list[float]] = {}
     for row in read_jsonl(path):
         latencies.setdefault(f"{row['role']}/{row['template_id']}",
                              []).append(row["latency_ms"])
+    for values in latencies.values():
+        values.sort()
 
     def percentile(values: list[float], q: int) -> float:
-        if len(values) < 2:
-            return values[0]
-        return round(statistics.quantiles(values, n=100, method="inclusive")[q - 1], 3)
+        position = (len(values) - 1) * q / 100
+        low = int(position)
+        high = min(low + 1, len(values) - 1)
+        return round(values[low] + (values[high] - values[low]) * (position - low), 3)
 
     return {key: {"calls": len(values), "p50_ms": percentile(values, 50),
                   "p95_ms": percentile(values, 95), "max_ms": max(values)}
@@ -322,14 +330,15 @@ class Gateway:
                         prompt: str, response: str, started: float) -> None:
         if self._transcript_path is None:
             return
-        row = {
-            "role": role.value,
-            "template_id": template_id,
-            "prompt_hash": hashlib.sha1(prompt.encode("utf-8")).hexdigest()[:12],
-            "response": response,
-            "latency_ms": round((time.monotonic() - started) * 1000, 3),
-        }
-        line = (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
+        prompt_hash = hashlib.sha1(prompt.encode("utf-8")).hexdigest()[:12]
+        latency_ms = round((time.monotonic() - started) * 1000, 3)
+        # json.dumps(row, ensure_ascii=False) of the five keys in this order,
+        # without the row dict and the encoder it builds for every call.
+        line = (f'{{"role": {_json_string(role.value)}, '
+                f'"template_id": {_json_string(template_id)}, '
+                f'"prompt_hash": "{prompt_hash}", '
+                f'"response": {_json_string(response)}, '
+                f'"latency_ms": {latency_ms!r}}}\n').encode("utf-8")
         transcript = self._transcript
         if transcript is None:
             with self._transcript_lock:

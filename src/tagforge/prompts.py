@@ -3,7 +3,9 @@
 Slots are written ``{slot_name}``; a slot name is an identifier optionally of
 the form ``fn(arg)``. Literal braces that do not wrap such a name (e.g. the
 JSON examples inside the templates) are left untouched, so the templates can
-embed JSON verbatim without escaping.
+embed JSON verbatim without escaping. A batch that sends one template to
+many items renders the fixed text once with :func:`prompt_frame` and joins
+each item's text in.
 """
 
 from __future__ import annotations
@@ -188,19 +190,42 @@ def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
     Raises :class:`PromptError` when a slot is unbound or a binding names no
     slot. Rendering is deterministic: same inputs, byte-identical output.
     """
+    _check_bindings(template_id, set(bindings))
+    return _fill(TEMPLATES[template_id], bindings)
+
+
+def prompt_frame(template_id: str, bindings: dict[str, str],
+                 slot: str) -> tuple[str, str]:
+    """The text before and after ``slot``, every other slot filled from
+    ``bindings``.
+
+    ``head + value + tail == render_prompt(template_id, {**bindings, slot:
+    value})`` for every ``value``, so a batch checks and renders its fixed
+    text once and each call only joins its own value in. Raises
+    :class:`PromptError` as :func:`render_prompt` does, and when ``slot`` is
+    bound too or occurs more than once.
+    """
+    _check_bindings(template_id, {*bindings, slot})
+    marker = "{" + slot + "}"
+    head, _, tail = TEMPLATES[template_id].partition(marker)
+    if slot in bindings or marker in tail:
+        raise PromptError(f"{template_id}: {slot!r} is not one open slot")
+    return _fill(head, bindings), _fill(tail, bindings)
+
+
+def _check_bindings(template_id: str, names: set[str]) -> None:
     slots = template_slots(template_id)
-    missing = slots - set(bindings)
+    missing = slots - names
     if missing:
         raise PromptError(
             f"{template_id}: missing slot binding(s): {', '.join(sorted(missing))}"
         )
-    extra = set(bindings) - slots
+    extra = names - slots
     if extra:
         raise PromptError(
             f"{template_id}: unknown slot binding(s): {', '.join(sorted(extra))}"
         )
 
-    def _sub(match: re.Match[str]) -> str:
-        return str(bindings[match.group(1)])
 
-    return _SLOT_RE.sub(_sub, TEMPLATES[template_id])
+def _fill(text: str, bindings: dict[str, str]) -> str:
+    return _SLOT_RE.sub(lambda match: str(bindings[match.group(1)]), text)

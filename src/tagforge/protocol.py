@@ -69,50 +69,24 @@ class ReviewDecision:
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n?|```")
+_OPENER_RE = re.compile(r"[{\[]")
+_DECODER = json.JSONDecoder()
 
 
 def extract_json(raw: str):
-    """Return the first balanced JSON object or array found in ``raw``.
+    """Return the JSON object or array that starts at the first ``{`` or
+    ``[`` in ``raw``; what follows it is ignored.
 
-    Code fences and any preamble/suffix text are stripped first.
+    Code fences are stripped first.
     """
     text = _FENCE_RE.sub("", raw)
-    start = None
-    for i, ch in enumerate(text):
-        if ch in "{[":
-            start = i
-            break
-    if start is None:
+    opener = _OPENER_RE.search(text)
+    if opener is None:
         raise ProtocolError("no JSON object or array found in response")
-    opener = text[start]
-    closer = "}" if opener == "{" else "]"
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch in "{[":
-            depth += 1
-        elif ch in "}]":
-            depth -= 1
-            if depth == 0:
-                if ch != closer:
-                    break
-                try:
-                    return json.loads(text[start:i + 1])
-                except json.JSONDecodeError as exc:
-                    raise ProtocolError(f"invalid JSON payload: {exc.msg}") from exc
-    raise ProtocolError("unbalanced JSON in response")
+    try:
+        return _DECODER.raw_decode(text, opener.start())[0]
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"invalid JSON payload: {exc.msg}") from exc
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:

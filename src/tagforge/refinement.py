@@ -140,15 +140,14 @@ def parallel_assign(items: list[Item], rules: list[DescriptorNode],
     """
     if not rules:
         raise RefinementError("parallel_assign requires a non-empty vocabulary")
-    rules_text = wire.rules_text(rules)
+    head, tail = prompts.prompt_frame(prompts.ASSIGN_ITEM, {
+        "rules_text": wire.rules_text(rules),
+        "instruction": prompts.ASSIGN_MULTI_INSTRUCTION,
+    }, "item_text")
     known = {r.rule_id for r in rules}
 
     def annotate(item: Item) -> tuple[list[str], str | None]:
-        prompt = prompts.render_prompt(prompts.ASSIGN_ITEM, {
-            "rules_text": rules_text,
-            "item_text": wire.item_line(item.item_id, item.prompt_text()),
-            "instruction": prompts.ASSIGN_MULTI_INSTRUCTION,
-        })
+        prompt = head + wire.item_line(item.item_id, item.prompt_text()) + tail
         matched, reason = gateway.complete_parsed(
             AgentRole.ANNOTATOR, prompt, prompts.ASSIGN_ITEM, parse_matched_rules)
         matched = sorted(set(m for m in matched if m in known))

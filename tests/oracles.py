@@ -4,6 +4,7 @@ package against; the pipeline itself never calls them."""
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations
 from unittest import mock
 
@@ -11,9 +12,10 @@ import numpy as np
 
 from tagforge import clustering
 from tagforge.assignment import EOS, AssignmentError, AssignmentRecord, SemidTable
+from tagforge.corpus import SplitDataset
 from tagforge.decoding import DecodingError, DescriptorTrie, SurrogateModel
 from tagforge.freeform import FreeformTagTable
-from tagforge.protocol import ReviewDecision
+from tagforge.protocol import ProtocolError, ReviewDecision
 from tagforge.runs import read_jsonl
 
 
@@ -205,3 +207,55 @@ def trie_lookup(trie: DescriptorTrie, tokens: list[int]) -> str | None:
         if node is None:
             return None
     return node.item_id
+
+
+def reference_extract_json(raw: str):
+    """The first balanced JSON object or array in ``raw``, found by scanning
+    character by character for the bracket that closes the first opener;
+    the oracle for ``protocol.extract_json``."""
+    text = re.sub(r"```[a-zA-Z0-9_-]*\n?|```", "", raw)
+    start = None
+    for i, ch in enumerate(text):
+        if ch in "{[":
+            start = i
+            break
+    if start is None:
+        raise ProtocolError("no JSON object or array found in response")
+    opener = text[start]
+    closer = "}" if opener == "{" else "]"
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth -= 1
+            if depth == 0:
+                if ch != closer:
+                    break
+                try:
+                    return json.loads(text[start:i + 1])
+                except json.JSONDecodeError as exc:
+                    raise ProtocolError(f"invalid JSON payload: {exc.msg}") from exc
+    raise ProtocolError("unbalanced JSON in response")
+
+
+def reference_splits_text(split: SplitDataset) -> str:
+    """``splits.jsonl`` as one ``json.dumps`` per row dict writes it."""
+    rows = (row for user_id in sorted(split.train) for row in (
+        {"split": "train", "user_id": user_id, "item_ids": split.train[user_id]},
+        {"split": "valid", "user_id": user_id, "item_id": split.valid[user_id]},
+        {"split": "test", "user_id": user_id, "item_id": split.test[user_id]}))
+    return "".join(json.dumps(row) + "\n" for row in rows)

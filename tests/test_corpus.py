@@ -10,6 +10,8 @@ from tagforge.corpus import (Corpus, CorpusError, IngestReport, Interaction, Ite
                              last_out_split, load_corpus, load_interactions,
                              read_splits, write_corpus, write_splits)
 
+from oracles import reference_splits_text
+
 
 def _write_jsonl(path, rows):
     with path.open("w", encoding="utf-8") as fh:
@@ -215,3 +217,16 @@ def test_splits_round_trip(tmp_path):
     assert again.train == split.train
     assert again.valid == split.valid
     assert again.test == split.test
+
+
+def test_write_splits_is_byte_equal_to_per_row_json_dumps(tmp_path):
+    users = ['u"1"', "ü-2", "u\\3", "東京", "u\n5", "plain"]
+    items = ['it"em', "é", "a\\b", "🎯", "x\ty", "i"]
+    rng = random.Random(3)
+    records = [Interaction(user, rng.choice(items), t)
+               for user in users for t in range(rng.randint(3, 7))]
+    split = last_out_split(records)
+    path = tmp_path / "splits.jsonl"
+    write_splits(split, path)
+    assert path.read_bytes() == reference_splits_text(split).encode("utf-8")
+    assert read_splits(path).train == split.train

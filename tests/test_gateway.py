@@ -9,6 +9,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tagforge.gateway import (AgentRole, BackendRefusalError,
                               BudgetExhaustedError, CallLedger, Gateway,
@@ -181,6 +182,60 @@ def test_transcript_written(tmp_path):
     assert rows[0]["template_id"] == "AssignItem"
     assert len(rows[0]["prompt_hash"]) == 12
     assert rows[0]["response"] == "ok:5"
+
+
+class CannedBackend:
+    """Answers every prompt with the next of ``responses``."""
+
+    def __init__(self, responses):
+        self.responses = iter(responses)
+
+    def generate(self, prompt):
+        return next(self.responses)
+
+
+_TRANSCRIPT_KEYS = ["role", "template_id", "prompt_hash", "response", "latency_ms"]
+
+
+def _transcript_lines(tmp_path, responses, template_id="AssignItem"):
+    path = tmp_path / "transcript.jsonl"
+    path.unlink(missing_ok=True)
+    gateway = _gateway(CannedBackend(responses), transcript_path=path)
+    for n, _ in enumerate(responses):
+        gateway.complete(AgentRole.ANNOTATOR, f"prompt é {n}", template_id)
+    gateway.close()
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n")
+    # Lines end at "\n" only; str.splitlines would also cut at U+2028.
+    return [line + "\n" for line in text.split("\n")[:-1]]
+
+
+def _assert_json_dumps_lines(lines, responses, template_id):
+    assert len(lines) == len(responses)
+    for line, response in zip(lines, responses):
+        row = json.loads(line)
+        assert list(row) == _TRANSCRIPT_KEYS
+        assert line == json.dumps(row, ensure_ascii=False) + "\n"
+        assert row["response"] == response
+        assert row["template_id"] == template_id
+        assert isinstance(row["latency_ms"], float) and row["latency_ms"] >= 0
+
+
+def test_transcript_lines_are_json_dumps_of_the_row(tmp_path):
+    responses = ['{"best_rule_id": "rule_0123abcd"}', "naïve café — 東京 🎯",
+                 'say "hi" \\ back\\slash', "two\nlines\r\n\ttab",
+                 "".join(map(chr, range(32))) + "\x7f\u2028\u2029", ""]
+    template_id = 'Odd "template" é\n'
+    _assert_json_dumps_lines(_transcript_lines(tmp_path, responses, template_id),
+                             responses, template_id)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text(max_size=20), min_size=1, max_size=5))
+def test_transcript_lines_are_json_dumps_of_any_response(tmp_path_factory, responses):
+    tmp_path = tmp_path_factory.mktemp("transcript")
+    _assert_json_dumps_lines(_transcript_lines(tmp_path, responses), responses,
+                             "AssignItem")
 
 
 def test_transcript_line_on_disk_when_complete_returns(tmp_path):

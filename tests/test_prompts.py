@@ -2,18 +2,27 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tagforge import prompts, protocol
-from tagforge.prompts import PromptError, render_prompt, template_slots
+from tagforge import prompts, protocol, wire
+from tagforge.assignment import _vocabulary_text, assign_paths
+from tagforge.corpus import Corpus, Item
+from tagforge.freeform import generate_freeform
+from tagforge.gateway import AgentRole, Gateway
+from tagforge.mockllm import MockLLMBackend
+from tagforge.prompts import (PromptError, prompt_frame, render_prompt,
+                              template_slots)
 from tagforge.protocol import (APPROVED, EXPAND_EXISTING_CATEGORY, IGNORE_AS_OUTLIERS,
                                CategoryProposal, ChangeProposal, ProtocolError,
                                ReviewDecision, parse_categories,
                                parse_change_proposal, parse_matched_rules,
                                parse_reviews)
+from tagforge.refinement import parallel_assign
 
-from oracles import serialize_reviews
+from oracles import reference_extract_json, serialize_reviews
 
 # The appendix EXPAND example, used verbatim in a couple of tests.
 GOOD_EXPAND = json.dumps({
@@ -213,3 +222,134 @@ def test_extract_json_prefers_first_balanced_value():
     assert protocol.extract_json(raw) == {"a": {"b": [1, 2]}}
     with pytest.raises(ProtocolError):
         protocol.extract_json("no json here at all")
+
+
+# Text for JSON strings and the chatter around a payload: braces, brackets,
+# quotes, backslashes and backticks inside strings, non-ASCII letters.
+_JSON_CHARS = 'ab {}[]"\\:,\n`é/'
+_CHATTER = "Here is the JSON: ok\n`é."
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(alphabet=_JSON_CHARS, max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(alphabet=_JSON_CHARS, max_size=6),
+                                        children, max_size=4)),
+    max_leaves=12)
+_json_payloads = st.builds(
+    json.dumps,
+    st.lists(_json_values, max_size=4)
+    | st.dictionaries(st.text(alphabet=_JSON_CHARS, max_size=6), _json_values,
+                      max_size=4),
+    indent=st.sampled_from([None, 2]), ensure_ascii=st.booleans())
+
+
+def _outcome(parse, raw: str):
+    """What ``parse`` makes of ``raw``: the value as JSON text, so that 1,
+    1.0 and true stay apart, or the ProtocolError."""
+    try:
+        return json.dumps(parse(raw))
+    except ProtocolError:
+        return ProtocolError
+
+
+@settings(max_examples=300, deadline=None)
+@given(preamble=st.text(alphabet=_CHATTER, max_size=12)
+       | st.text(alphabet=_JSON_CHARS, max_size=6),
+       fence=st.sampled_from(["", "```", "```json\n"]),
+       payload=_json_payloads,
+       cut=st.integers(min_value=0, max_value=3),
+       suffix=st.text(alphabet=_JSON_CHARS + _CHATTER, max_size=12))
+def test_extract_json_matches_the_scanning_oracle(preamble, fence, payload, cut,
+                                                  suffix):
+    # ``cut`` drops trailing characters, so truncated payloads are tried too.
+    payload = payload[:len(payload) - cut]
+    raw = f"{preamble}{fence}{payload}{'```' if fence else ''}{suffix}"
+    assert _outcome(protocol.extract_json, raw) == _outcome(reference_extract_json, raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='{}[]"\\:,0-1.eE tfnul`x\n', max_size=24))
+def test_extract_json_matches_the_oracle_on_any_text(raw):
+    assert _outcome(protocol.extract_json, raw) == _outcome(reference_extract_json, raw)
+
+
+def test_prompt_frame_joins_to_render_prompt():
+    bindings = {"rules_text": "- rule_1 :: A {x} :: b", "instruction": "{item_text}"}
+    head, tail = prompt_frame(prompts.ASSIGN_ITEM, bindings, "item_text")
+    for value in ("- [i1] text", "", "{rules_text} \\1 {}"):
+        assert head + value + tail == render_prompt(
+            prompts.ASSIGN_ITEM, {**bindings, "item_text": value})
+    with pytest.raises(PromptError, match="missing slot binding"):
+        prompt_frame(prompts.ASSIGN_ITEM, {"rules_text": "r"}, "item_text")
+    with pytest.raises(PromptError, match="unknown slot binding"):
+        prompt_frame(prompts.ASSIGN_ITEM, {**bindings, "n_tags": "3"}, "item_text")
+    with pytest.raises(PromptError, match="not one open slot"):
+        prompt_frame(prompts.ASSIGN_ITEM, {**bindings, "item_text": "x"}, "item_text")
+
+
+class _RecordingBackend:
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts: list[str] = []
+
+    def generate(self, prompt):
+        self.prompts.append(prompt)  # list.append is atomic under the GIL
+        return self.inner.generate(prompt)
+
+
+def _recording_gateway(world):
+    backend = _RecordingBackend(MockLLMBackend(world.taxonomy, seed=0))
+    gateway = Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend})
+    return gateway, backend.prompts
+
+
+def _item_text(item) -> str:
+    return wire.item_line(item.item_id, item.prompt_text())
+
+
+def test_batched_prompts_are_render_prompt_of_their_node_and_item(small_build):
+    """Every prompt the batched annotator calls send is, byte for byte, what
+    ``render_prompt`` makes of that node's rules and that item."""
+    world, state = small_build
+    tree = state.tree
+    odd = Item(item_id="odd-ü", title="Tab\tand  spaces {x}",
+               body='line\nbreak é "quoted" \\1 {item_text}')
+    corpus = Corpus(list(world.corpus)[:20] + [odd])
+
+    gateway, sent = _recording_gateway(world)
+    records = assign_paths(corpus, tree, gateway, parallelism=2)
+    items = {item.item_id: item for item in corpus}
+    expected = Counter(
+        render_prompt(prompts.ASSIGN_ITEM, {
+            "rules_text": wire.rules_text(tree.children_of(rule_id)),
+            "item_text": _item_text(items[rec.item_id]),
+            "instruction": prompts.ASSIGN_BEST_INSTRUCTION})
+        for rec in records for rule_id in (tree.root_id, *rec.path)
+        if tree.children.get(rule_id))
+    assert sum(expected.values()) > len(corpus)
+    assert Counter(sent) == expected
+
+    gateway, sent = _recording_gateway(world)
+    assign_paths(corpus, tree, gateway, parallelism=2, mode="one-shot")
+    assert Counter(sent) == Counter(
+        render_prompt(prompts.ASSIGN_ITEM, {
+            "rules_text": _vocabulary_text(tree), "item_text": _item_text(item),
+            "instruction": prompts.ASSIGN_PATH_INSTRUCTION})
+        for item in corpus)
+
+    gateway, sent = _recording_gateway(world)
+    rules = tree.children_of(tree.root_id)
+    parallel_assign(list(corpus), rules, gateway, parallelism=2)
+    assert Counter(sent) == Counter(
+        render_prompt(prompts.ASSIGN_ITEM, {
+            "rules_text": wire.rules_text(rules), "item_text": _item_text(item),
+            "instruction": prompts.ASSIGN_MULTI_INSTRUCTION})
+        for item in corpus)
+
+    gateway, sent = _recording_gateway(world)
+    generate_freeform(corpus, gateway, n_tags_per_item=3, parallelism=2)
+    assert Counter(sent) == Counter(
+        render_prompt(prompts.FREEFORM_TAG, {"n_tags": "3",
+                                             "item_text": _item_text(item)})
+        for item in corpus)
