@@ -223,8 +223,10 @@ class SemidRow:
 class SemidTable:
     """Token sequences per item plus the token meanings.
 
-    ``token_of`` (name -> token) and ``special_tokens`` are built once from
-    ``token_map``, which is not to be mutated afterwards.
+    ``token_of`` (name -> token), ``special_tokens``, the item id index and
+    ``units`` (item id -> its tokens without the trailing EOS, as a tuple)
+    are built once from ``rows`` and ``token_map``, which are not to be
+    mutated afterwards.
     """
 
     rows: list[SemidRow]
@@ -234,10 +236,13 @@ class SemidTable:
         self.token_of = {name: tok for tok, name in self.token_map.items()}
         self.special_tokens = {name: tok for name, tok in self.token_of.items()
                                if name.startswith("special:")}
+        self._by_id = {row.item_id: row for row in self.rows}
+        eos = self.special_tokens.get(f"special:{EOS}")
+        self.units = {row.item_id: tuple(row.tokens[:-1] if row.tokens and
+                                         row.tokens[-1] == eos else row.tokens)
+                      for row in self.rows}
 
     def row_of(self, item_id: str) -> SemidRow:
-        if not hasattr(self, "_by_id"):
-            self._by_id = {r.item_id: r for r in self.rows}
         return self._by_id[item_id]
 
     def save(self, rows_path: str | Path, map_path: str | Path) -> None:
@@ -250,8 +255,8 @@ class SemidTable:
     @classmethod
     def load(cls, rows_path: str | Path, map_path: str | Path) -> "SemidTable":
         token_map = {int(k): v for k, v in read_json(map_path).items()}
-        rows = [SemidRow(item_id=raw["item_id"], tokens=list(raw["tokens"]),
-                         path_names=list(raw["path_names"]))
+        rows = [SemidRow(item_id=raw["item_id"], tokens=raw["tokens"],
+                         path_names=raw["path_names"])
                 for raw in read_jsonl(rows_path)]
         return cls(rows=rows, token_map=token_map)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .runs import atomic_open, read_jsonl, write_jsonl
+from .runs import atomic_open, decode_line, read_jsonl, write_jsonl
 
 # A str's JSON literal, as json.dumps writes it.
 _json_string = json.JSONEncoder().encode
@@ -85,7 +85,7 @@ class Corpus:
         return [item.item_id for item in self._items]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Interaction:
     user_id: str
     item_id: str
@@ -119,7 +119,7 @@ def load_corpus(path: str | Path, lenient: bool = False,
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                raw = decode_line(line)
                 item = Item(
                     item_id=str(raw["item_id"]),
                     title=str(raw.get("title", "")),
@@ -171,7 +171,7 @@ def load_interactions(path: str | Path, corpus: Corpus | None = None,
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                raw = decode_line(line)
                 user_id = str(raw["user_id"])
                 item_id = str(raw["item_id"])
                 timestamp = int(raw["timestamp"])
@@ -249,7 +249,7 @@ def read_splits(path: str | Path) -> SplitDataset:
     for raw in read_jsonl(path):
         kind = raw["split"]
         if kind == "train":
-            train[raw["user_id"]] = list(raw["item_ids"])
+            train[raw["user_id"]] = raw["item_ids"]
         elif kind == "valid":
             valid[raw["user_id"]] = raw["item_id"]
         elif kind == "test":

@@ -5,7 +5,9 @@ The surrogate scorer is an order-m n-gram model with additive smoothing
 fitted on train-split user histories flattened to token streams, a boundary
 token between consecutive items, and the end-of-sequence token closing each
 stream. It stands in for a trained sequence model at desk scale while
-exercising the full decoding machinery exactly.
+exercising the full decoding machinery exactly. Fitting counts every gram of
+every stream in one pass (:meth:`SurrogateModel.observe_streams`), and each
+item's tokens come from ``SemidTable.units``, built once per table.
 
 Beam search reads its step and EOS scores from a table on the model, one
 entry per (trie node, context tail), filled through
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import prompts, wire
 from .assignment import BOS, EOS, SEP, SemidTable
@@ -51,7 +55,7 @@ class DescriptorTrie:
         self.root = TrieNode()
         self.n_terminals = 0
 
-    def insert(self, tokens: list[int], item_id: str) -> None:
+    def insert(self, tokens: Sequence[int], item_id: str) -> None:
         node = self.root
         for token in tokens:
             node = node.children.setdefault(token, TrieNode())
@@ -69,8 +73,9 @@ class DescriptorTrie:
 def build_trie(table: SemidTable) -> DescriptorTrie:
     """Index every item's sequence (trailing EOS stripped)."""
     trie = DescriptorTrie()
+    units = table.units
     for row in table.rows:
-        trie.insert(item_unit(table, row.item_id), row.item_id)
+        trie.insert(units[row.item_id], row.item_id)
     return trie
 
 
@@ -106,15 +111,31 @@ class SurrogateModel:
                                list[Expansion]] = {}
 
     def observe_stream(self, tokens: list[int]) -> None:
+        self.observe_streams((tokens,))
+
+    def observe_streams(self, streams: Iterable[Sequence[int]]) -> None:
+        """Count every order-m gram of every stream in one pass.
+
+        The grams of all streams are tallied in one ``Counter``, fed by
+        ``zip`` over the stream shifted 0..m-1 places, and only then added
+        to ``counts`` and ``context_totals``. A ``Counter`` keeps first
+        occurrence order, so every context, and every token within a row,
+        lands where counting the streams token by token would put it.
+        """
+        m = self.order
+        grams: Counter[tuple[int, ...]] = Counter()
+        for tokens in streams:
+            grams.update(zip(*[tokens[k:] for k in range(m)]))
+        counts, totals = self.counts, self.context_totals
+        for gram, n in grams.items():
+            ctx, nxt = gram[:-1], gram[-1]
+            row = counts.get(ctx)
+            if row is None:
+                row = counts[ctx] = {}
+            row[nxt] = row.get(nxt, 0) + n
+            totals[ctx] = totals.get(ctx, 0) + n
         self._logprob_rows.clear()
         self._expansions.clear()
-        m = self.order
-        for i in range(m - 1, len(tokens)):
-            ctx = tuple(tokens[i - m + 1:i])
-            nxt = tokens[i]
-            row = self.counts.setdefault(ctx, {})
-            row[nxt] = row.get(nxt, 0) + 1
-            self.context_totals[ctx] = self.context_totals.get(ctx, 0) + 1
 
     def _smoothed(self, count: int, total: int) -> float:
         if self.alpha == 0.0:
@@ -152,7 +173,7 @@ class SurrogateModel:
         terminal child.
 
         Filled on first use through :meth:`logprob`, so each number is the
-        one it returns, and kept until the next :meth:`observe_stream`.
+        one it returns, and kept until the next :meth:`observe_streams`.
         Since every history ends in the boundary token, below the first
         level (order 3) a context tail is fixed by the trie path, and one
         entry serves every request. Nodes key by identity, so several tries
@@ -215,26 +236,17 @@ class SurrogateModel:
         return model
 
 
-def item_unit(table: SemidTable, item_id: str) -> list[int]:
-    """An item's tokens without the trailing EOS."""
-    row = table.row_of(item_id)
-    eos_token = table.special_tokens[f"special:{EOS}"]
-    tokens = list(row.tokens)
-    if tokens and tokens[-1] == eos_token:
-        tokens = tokens[:-1]
-    return tokens
-
-
 def user_stream(table: SemidTable, item_ids: list[str],
                 order: int) -> list[int]:
     """BOS padding, items joined by the boundary token, closed with EOS."""
     specials = table.special_tokens
     sep = specials[f"special:{SEP}"]
+    units = table.units
     stream = [specials[f"special:{BOS}"]] * max(1, order - 1)
     for i, item_id in enumerate(item_ids):
         if i:
             stream.append(sep)
-        stream.extend(item_unit(table, item_id))
+        stream.extend(units[item_id])
     stream.append(specials[f"special:{EOS}"])
     return stream
 
@@ -254,18 +266,16 @@ def fit_surrogate(split: SplitDataset, table: SemidTable, order: int = 3,
     model = SurrogateModel(order=order, alpha=alpha,
                            vocab_size=len(table.token_map),
                            eos_token=table.special_tokens[f"special:{EOS}"])
-    users = sorted(split.train)
-    if not users:
+    if not split.train:
         raise DecodingError("empty training split")
-    known = {row.item_id for row in table.rows}
-    streams = 0
-    for user_id in users:
-        item_ids = [i for i in split.train[user_id] if i in known]
-        if not item_ids:
-            continue
-        model.observe_stream(user_stream(table, item_ids, order))
-        streams += 1
-    if streams == 0:
+    known = table.units
+    histories = ([i for i in split.train[user_id] if i in known]
+                 for user_id in sorted(split.train))
+    model.observe_streams(user_stream(table, item_ids, order)
+                          for item_ids in histories if item_ids)
+    # Every stream holds at least one order-m gram, so no counts means no
+    # stream.
+    if not model.counts:
         raise DecodingError("no train history maps to semantic IDs")
     return model
 

@@ -106,13 +106,29 @@ def write_json(path: str | Path, payload, **dumps_kwargs) -> None:
         fh.write(json.dumps(payload, **dumps_kwargs))
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_line(line: str):
+    """The JSON value of one stripped run-file line.
+
+    Accepts exactly what ``json.loads`` accepts on a stripped line and raises
+    ``json.JSONDecodeError`` on the rest, without its per-call whitespace
+    scan: a value must start at the first character and end at the last.
+    """
+    value, end = _raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield one parsed object per non-blank line."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield decode_line(line)
 
 
 def read_json(path: str | Path):

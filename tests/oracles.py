@@ -105,6 +105,21 @@ def surrogate_prob(model: SurrogateModel, token: int,
             / (total + model.alpha * model.vocab_size))
 
 
+def reference_observe_stream(model: SurrogateModel, tokens: list[int]) -> None:
+    """Drop the model's caches, then count one stream token by token, a
+    context slice and two dict updates per token; the oracle for
+    ``SurrogateModel.observe_streams``."""
+    model._logprob_rows.clear()
+    model._expansions.clear()
+    m = model.order
+    for i in range(m - 1, len(tokens)):
+        ctx = tuple(tokens[i - m + 1:i])
+        nxt = tokens[i]
+        row = model.counts.setdefault(ctx, {})
+        row[nxt] = row.get(nxt, 0) + 1
+        model.context_totals[ctx] = model.context_totals.get(ctx, 0) + 1
+
+
 def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
                    table: SemidTable,
                    allowed_level1: set[int] | None = None) -> list[tuple[str, float]]:

@@ -56,6 +56,27 @@ def test_load_corpus_lenient_counts_malformed(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("tail", [" x", '{"item_id": "c", "title": "t"}'])
+def test_load_corpus_rejects_data_after_the_value(tmp_path, tail):
+    path = tmp_path / "items.jsonl"
+    path.write_text('{"item_id": "a", "title": "t"}\n'
+                    '{"item_id": "b", "title": "t"}' + tail + "\n")
+    with pytest.raises(CorpusError, match=r"items\.jsonl:2: Extra data"):
+        load_corpus(path)
+    report = IngestReport()
+    assert load_corpus(path, lenient=True, report=report).item_ids == ["a"]
+    assert report.malformed_lines == 1
+
+
+@pytest.mark.parametrize("tail", [" x", '{"user_id": "u", "item_id": "a", "timestamp": 2}'])
+def test_load_interactions_rejects_data_after_the_value(tmp_path, tail):
+    path = tmp_path / "inter.jsonl"
+    path.write_text('{"user_id": "u", "item_id": "a", "timestamp": 1}\n\n'
+                    '{"user_id": "u", "item_id": "b", "timestamp": 3}' + tail + "\n")
+    with pytest.raises(CorpusError, match=r"inter\.jsonl:3: Extra data"):
+        load_interactions(path)
+
+
 def test_load_corpus_zero_items_is_error(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_text("\n\n")
@@ -151,6 +172,14 @@ def test_load_interactions_memory_per_row(tmp_path):
         tracemalloc.stop()
     assert len(records) == n_rows
     assert peak / n_rows < 180, f"{peak / n_rows:.1f} B/row"
+
+
+def test_interaction_is_slotted():
+    record = Interaction("u", "a", 1)
+    assert Interaction.__slots__ == ("user_id", "item_id", "timestamp")
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_last_out_split_definition():

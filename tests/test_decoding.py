@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,13 @@ from tagforge.decoding import (DecodingError, SurrogateModel, beam_decode,
                                fit_surrogate, simulate_user, user_stream)
 from tagforge.gateway import AgentRole, BackendRefusalError, Gateway
 from tagforge.mockllm import MockLLMBackend
-from tagforge.planted import make_interactions
+from tagforge.planted import make_interactions, make_world
 from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import FaultBackend, make_gateway
-from oracles import (enumerate_rank, reference_beam_decode, surrogate_prob,
-                     trie_lookup)
+from oracles import (enumerate_rank, reference_beam_decode,
+                     reference_observe_stream, surrogate_prob, trie_lookup)
 
 
 def tiny_table() -> SemidTable:
@@ -44,7 +45,8 @@ def test_build_trie_two_disjoint_items():
 
 def test_build_trie_rejects_duplicate_sequences():
     table = tiny_table()
-    table.rows.append(SemidRow("i3", [3, 5, 7, 1], ["A", "C"]))
+    table = SemidTable(rows=table.rows + [SemidRow("i3", [3, 5, 7, 1], ["A", "C"])],
+                       token_map=table.token_map)
     with pytest.raises(DecodingError, match="duplicate"):
         build_trie(table)
 
@@ -148,6 +150,90 @@ def test_logprob_rows_equal_log_of_prob(order, alpha, first, later, queries):
         expected = _expected_logprob(fresh, token, tuple(ctx))
         assert model.logprob(token, tuple(ctx)) == expected
         assert fresh.logprob(token, tuple(ctx)) == expected
+
+
+_streams = st.lists(st.lists(st.integers(0, 6), max_size=12), max_size=4)
+
+
+def _count_layout(model: SurrogateModel) -> tuple[list, list]:
+    """The counts in the key order of the model and of each row."""
+    return ([(ctx, list(row.items())) for ctx, row in model.counts.items()],
+            list(model.context_totals.items()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(1, 4), held=_streams, streams=_streams,
+       queries=st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=4))
+def test_observe_streams_equals_the_token_by_token_count(order, held, streams,
+                                                         queries):
+    # The model already holds the counts of ``held`` and has logprob rows for
+    # ``queries`` when the streams under test arrive, through an iterator.
+    model = SurrogateModel(order=order, vocab_size=7)
+    reference = SurrogateModel(order=order, vocab_size=7)
+    model.observe_streams(held)
+    for stream in held:
+        reference_observe_stream(reference, stream)
+    for ctx in queries:
+        model.logprob(0, tuple(ctx))
+    model.observe_streams(iter(streams))
+    for stream in streams:
+        reference_observe_stream(reference, stream)
+    assert _count_layout(model) == _count_layout(reference)
+    for ctx in queries:
+        for token in range(7):
+            assert model.logprob(token, tuple(ctx)) == \
+                reference.logprob(token, tuple(ctx))
+
+
+def test_fit_writes_the_model_of_the_token_by_token_count(decode_setup, tmp_path):
+    _, _, _, table, split, _, _ = decode_setup
+    known = {row.item_id for row in table.rows}
+    reference = SurrogateModel(order=3, alpha=0.1, vocab_size=len(table.token_map),
+                               eos_token=table.special_tokens["special:<eos>"])
+    for user_id in sorted(split.train):
+        item_ids = [i for i in split.train[user_id] if i in known]
+        if item_ids:
+            reference_observe_stream(reference, user_stream(table, item_ids, 3))
+    fit_surrogate(split, table, order=3, alpha=0.1).save(tmp_path / "fit.bin")
+    reference.save(tmp_path / "reference.bin")
+    assert (tmp_path / "fit.bin").read_bytes() == \
+        (tmp_path / "reference.bin").read_bytes()
+
+
+def _planted_table(world) -> SemidTable:
+    """Semantic IDs over the planted paths: a token per category name, then a
+    resolver rank among the items sharing the path, then EOS."""
+    token_map = {0: "special:<bos>", 1: "special:<eos>", 2: "special:<sep>"}
+    token_of: dict[str, int] = {}
+    ranks: dict[tuple[str, ...], int] = {}
+    rows = []
+    for item_id, path in sorted(world.true_path.items()):
+        ranks[path] = ranks.get(path, -1) + 1
+        names = [*path, f"resolver:{ranks[path]}"]
+        for name in names:
+            if name not in token_of:
+                token_of[name] = len(token_map)
+                token_map[len(token_map)] = name
+        rows.append(SemidRow(item_id, [token_of[n] for n in names] + [1],
+                             list(path)))
+    return SemidTable(rows=rows, token_map=token_map)
+
+
+def test_fit_surrogate_memory_per_user():
+    # 4,000 users over a 500-item world. The counts hold under 2,000 grams,
+    # so the traced peak of the fit is about 100 B per user; holding every
+    # user's stream at once (a list of 4,000 token lists) peaks at about
+    # 340 B per user.
+    world = make_world(branching=(4, 4), n_items=500, seed=3)
+    split = last_out_split(make_interactions(world, n_users=4000, seed=4))
+    table = _planted_table(world)
+    tracemalloc.start()
+    try:
+        fit_surrogate(split, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(split.train) < 200, f"{peak / len(split.train):.0f} B/user"
 
 
 def test_surrogate_save_load_round_trip(tmp_path):

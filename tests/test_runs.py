@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tagforge.runs import inputs_hash, read_jsonl, write_jsonl
+from tagforge.runs import decode_line, inputs_hash, read_jsonl, write_jsonl
 
 
 def test_jsonl_round_trip_skips_blank_lines(tmp_path):
@@ -36,3 +38,45 @@ def test_inputs_hash_streams_files_to_the_same_digest(tmp_path):
     expected.update(b'{"k": 1}' + b"\x00")
     expected.update(str(missing).encode() + b"\x00")
     assert inputs_hash(big, {"k": 1}, missing) == expected.hexdigest()
+
+
+# JSON values as run files hold them, NaN and the infinities included, each
+# written as json.dumps writes it.
+_JSON_CHARS = 'ab {}[]"\\:,\t`é'
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=_JSON_CHARS, max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(alphabet=_JSON_CHARS, max_size=4),
+                                        children, max_size=3)),
+    max_leaves=8)
+# JSON whitespace, whitespace JSON does not allow, and a byte order mark.
+_SPACE = " \t\r\n\x0b\x0c\xa0\u2003\ufeff"
+
+
+def _outcome(parse, line: str):
+    """The value as JSON text, so that 1, 1.0 and true stay apart and NaN
+    equals NaN, or the JSONDecodeError."""
+    try:
+        return json.dumps(parse(line))
+    except json.JSONDecodeError:
+        return json.JSONDecodeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=st.text(alphabet=_SPACE, max_size=2),
+       values=st.lists(st.builds(json.dumps, _json_values), min_size=1, max_size=2),
+       gap=st.text(alphabet=_SPACE, max_size=2),
+       garbage=st.sampled_from(["", "x", "}", ",", "NaN", "1", "// c"]),
+       trail=st.text(alphabet=_SPACE, max_size=2))
+def test_decode_line_matches_json_loads(lead, values, gap, garbage, trail):
+    # Surrounding whitespace, a second value on the line, trailing garbage.
+    line = (lead + gap.join(values) + garbage + trail).strip()
+    assert _outcome(decode_line, line) == _outcome(json.loads, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='{}[]"\\:,0-1.eE tfnulNaIiy\ufeffx', max_size=24))
+def test_decode_line_matches_json_loads_on_any_text(raw):
+    line = raw.strip()
+    assert _outcome(decode_line, line) == _outcome(json.loads, line)
