@@ -1,11 +1,11 @@
 """Final vocabulary assignment and semantic-ID export.
 
-Each item gets one descriptor per level via a greedy descent (one annotator
+Each item gets one descriptor per level via a greedy descent: one annotator
 call per visited level, unless the build's annotators already matched the
-item to exactly one child there), or a single whole-vocabulary call in
-one-shot mode. Items sharing a path receive collision-resolver ranks so that
-(path, resolver) is a bijection onto items, and the result exports both as
-token sequences and as fixed-slot categorical features.
+item to exactly one child there. Items sharing a path receive
+collision-resolver ranks so that (path, resolver) is a bijection onto items,
+and the result exports both as token sequences and as fixed-slot categorical
+features.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from . import prompts, wire
 from .corpus import Corpus
 from .gateway import AgentRole, BackendRefusalError, Gateway, fan_out
-from .protocol import (STOP, ProtocolError, parse_best_rule, parse_path_choice)
+from .protocol import STOP, ProtocolError, parse_best_rule
 from .runs import atomic_open, read_json, read_jsonl, write_json, write_jsonl
 from .vocab import VocabularyTree
 
@@ -89,32 +89,24 @@ class VocabStats:
 
 
 def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
-                 parallelism: int = 8, mode: str = "per-level",
+                 parallelism: int = 8,
                  annotations: Annotations | None = None) -> list[AssignmentRecord]:
     """Assign a descriptor path to every item (resolver left unset).
 
-    ``per-level`` descends greedily, presenting only the current node's
-    children and asking for the single best child or STOP. Where the build's
+    The descent is greedy: at each node it presents only that node's
+    children and asks for the single best child or STOP. Where the build's
     ``annotations`` (node -> item -> matched children) name exactly one
     child for this item at this node, the descent takes it without a call.
-    ``one-shot`` presents the whole vocabulary once and asks for a complete
-    path. Per-item failures yield an empty or truncated path with a flag;
-    only an exhausted call budget stops the batch (see
-    :func:`gateway.fan_out`).
+    Per-item failures yield an empty or truncated path with a flag; only an
+    exhausted call budget stops the batch (see :func:`gateway.fan_out`).
     """
-    if mode not in ("per-level", "one-shot"):
-        raise AssignmentError(f"unknown assignment mode {mode!r}")
-    # Each prompt's fixed text is rendered once per batch, not once per item.
-    if mode == "per-level":
-        frames = {rule_id: _assign_frame(wire.rules_text(tree.children_of(rule_id)),
-                                         prompts.ASSIGN_BEST_INSTRUCTION)
-                  for rule_id, children in tree.children.items() if children}
-        worker = partial(_descend, tree=tree, gateway=gateway,
-                         annotations=annotations or {}, frames=frames)
-    else:
-        worker = partial(_one_shot, tree=tree, gateway=gateway,
-                         frame=_assign_frame(_vocabulary_text(tree),
-                                             prompts.ASSIGN_PATH_INSTRUCTION))
+    # Each node's prompt is rendered once per batch, not once per item.
+    frames = {rule_id: prompts.prompt_frame(prompts.ASSIGN_ITEM, {
+                  "rules_text": wire.rules_text(tree.children_of(rule_id)),
+                  "instruction": prompts.ASSIGN_BEST_INSTRUCTION}, "item_text")
+              for rule_id, children in tree.children.items() if children}
+    worker = partial(_descend, tree=tree, gateway=gateway,
+                     annotations=annotations or {}, frames=frames)
     items = list(corpus)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         results = fan_out(pool, worker, items, width=parallelism)
@@ -128,11 +120,6 @@ def assign_paths(corpus: Corpus, tree: VocabularyTree, gateway: Gateway,
         rec.terminated = len(rec.path) < max_depth
         records.append(rec)
     return records
-
-
-def _assign_frame(rules_text: str, instruction: str) -> tuple[str, str]:
-    return prompts.prompt_frame(prompts.ASSIGN_ITEM, {
-        "rules_text": rules_text, "instruction": instruction}, "item_text")
 
 
 def _descend(item, tree: VocabularyTree, gateway: Gateway,
@@ -163,38 +150,6 @@ def _descend(item, tree: VocabularyTree, gateway: Gateway,
             break
         path.append(choice)
         rule_id = choice
-    if not path and flag is None:
-        flag = "no-path"
-    return AssignmentRecord(item_id=item.item_id, path=tuple(path), flag=flag)
-
-
-def _vocabulary_text(tree: VocabularyTree) -> str:
-    """Every descriptor, indented by depth, for the one-shot prompt."""
-    return "\n".join(wire.rule_line(n.rule_id, n.name, n.description,
-                                    indent=n.depth - 1)
-                     for n in tree.descriptor_nodes())
-
-
-def _one_shot(item, tree: VocabularyTree, gateway: Gateway,
-              frame: tuple[str, str]) -> AssignmentRecord:
-    head, tail = frame
-    prompt = head + wire.item_line(item.item_id, item.prompt_text()) + tail
-    flag = None
-    try:
-        chosen = gateway.complete_parsed(AgentRole.ANNOTATOR, prompt,
-                                         prompts.ASSIGN_ITEM, parse_path_choice)
-    except ProtocolError:
-        return AssignmentRecord(item_id=item.item_id, path=(),
-                                flag="truncated: unparseable choice")
-    path: list[str] = []
-    parent_id = tree.root_id
-    for rule_id in chosen:
-        node = tree.nodes.get(rule_id)
-        if node is None or node.parent != parent_id:
-            flag = "truncated: path violates tree edges"
-            break
-        path.append(rule_id)
-        parent_id = rule_id
     if not path and flag is None:
         flag = "no-path"
     return AssignmentRecord(item_id=item.item_id, path=tuple(path), flag=flag)

@@ -6,11 +6,12 @@ baseline-freeform, report, resume. Config comes from a JSON file
 (``--config``); each flag of :data:`FLAGS` overrides one of its keys, and
 flag and file values pass the same checks of :meth:`RunConfig.from_json`.
 Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
-skips it when the run manifest says its inputs are unchanged and owns the
-gateway's close (which saves the ledger) and the exit codes; a lock file
-keeps writers exclusive. The modules that load numpy (``builder``,
-``clustering``, ``freeform``) are imported inside the two stage bodies that
-use them, so that no other stage's process pays for them.
+skips it when the run manifest says its inputs are unchanged, else drops its
+manifest entry before the body writes, and owns the gateway's close (which
+saves the ledger) and the exit codes; a lock file keeps writers exclusive.
+The modules that load numpy (``builder``, ``clustering``, ``freeform``) are
+imported inside the two stage bodies that use them, so that no other stage's
+process pays for them. ``assign`` has one path, the per-level descent.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
 from .mockllm import MockLLMBackend
 from .planted import load_taxonomy
 from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
-                   read_json, read_jsonl, stage_is_current, write_json,
-                   write_jsonl)
+                   read_json, read_jsonl, stage_is_current, unmark_stage,
+                   write_json, write_jsonl)
 from .vocab import BuildConfig, VocabularyError, VocabularyTree, log_from_json
 
 
@@ -56,7 +57,6 @@ class RunConfig:
     interactions_path: str | None = None
     strict_ingest: bool = True
     build: dict = field(default_factory=dict)
-    assign_mode: Literal["per-level", "one-shot"] = "per-level"
     parallelism: int = 8
     embed_dim: int = 256
     surrogate_order: int = 3
@@ -250,7 +250,7 @@ def _stage(name: str, inputs, outputs):
 
 
 def run_stage(stage: Stage, run: StageRun) -> int:
-    """digest -> skip if current -> body -> close gateway -> mark.
+    """digest -> skip if current -> unmark -> body -> close gateway -> mark.
 
     The one failure path of every stage: the gateway is closed, which saves
     the ledger, whether the body finishes or stops, and an exhausted call
@@ -263,6 +263,7 @@ def run_stage(stage: Stage, run: StageRun) -> int:
         print(f"{stage.name}: up to date, skipping")
         return 0
     run.inputs_hash = digest
+    unmark_stage(run.paths, stage.name)  # a stopped re-run must not look current
     try:
         summary = stage.body(run)
     except (BuildInterrupted, BudgetExhaustedError,
@@ -412,7 +413,7 @@ def _build_vocab(run: StageRun) -> str:
 
 @_stage("assign",
         lambda run: (run.paths.vocab, run.paths.annotations, _corpus_source(run),
-                     run.cfg.assign_mode, *_backend_parts(run.cfg), run.cfg.seed),
+                     *_backend_parts(run.cfg), run.cfg.seed),
         lambda run: [run.paths.assignments])
 def _assign(run: StageRun) -> str:
     paths = run.paths
@@ -422,7 +423,7 @@ def _assign(run: StageRun) -> str:
                    if paths.annotations.exists() else {})
     records = asg.assign_paths(corpus, _load_tree(paths), run.gateway,
                                parallelism=run.cfg.parallelism,
-                               mode=run.cfg.assign_mode, annotations=annotations)
+                               annotations=annotations)
     records = asg.resolve_collisions(records)
     write_jsonl(paths.assignments, (rec.to_json() for rec in records))
     flagged = sum(1 for r in records if r.flag)

@@ -99,7 +99,6 @@ class SplitDataset:
     train: dict[str, list[str]]
     valid: dict[str, str]
     test: dict[str, str]
-    n_excluded_users: int = 0
 
 
 def load_corpus(path: str | Path, lenient: bool = False,
@@ -205,9 +204,9 @@ def last_out_split(interactions: list[Interaction],
                    report: IngestReport | None = None) -> SplitDataset:
     """Split sorted interactions: last item test, second-last valid, rest train.
 
-    Users with fewer than 3 interactions are excluded and counted. Input must
-    already be sorted as produced by :func:`load_interactions`; timestamp ties
-    keep input order.
+    Users with fewer than 3 interactions are excluded and counted in
+    ``report``. Input must already be sorted as produced by
+    :func:`load_interactions`; timestamp ties keep input order.
     """
     per_user: dict[str, list[str]] = {}
     for rec in interactions:
@@ -225,7 +224,7 @@ def last_out_split(interactions: list[Interaction],
         test[user_id] = seq[-1]
     if report is not None:
         report.excluded_users += excluded
-    return SplitDataset(train=train, valid=valid, test=test, n_excluded_users=excluded)
+    return SplitDataset(train=train, valid=valid, test=test)
 
 
 def write_splits(split: SplitDataset, path: str | Path) -> None:

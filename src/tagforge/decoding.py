@@ -110,9 +110,6 @@ class SurrogateModel:
         self._expansions: dict[tuple[TrieNode, tuple[int, ...]],
                                list[Expansion]] = {}
 
-    def observe_stream(self, tokens: list[int]) -> None:
-        self.observe_streams((tokens,))
-
     def observe_streams(self, streams: Iterable[Sequence[int]]) -> None:
         """Count every order-m gram of every stream in one pass.
 

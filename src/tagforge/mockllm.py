@@ -117,9 +117,6 @@ class MockLLMBackend:
         tokens = tokenize(item_text)
         hits = [(rid, name) for rid, name, _ in rules
                 if name.lower() in tokens and not self._miss(item_id, name)]
-        if '"path_rule_ids"' in prompt:
-            hits.sort(key=lambda h: (self.taxonomy.depth.get(h[1], 99), h[1]))
-            return json.dumps({"path_rule_ids": [rid for rid, _ in hits]})
         hits.sort(key=lambda h: h[1])
         if '"best_rule_id"' in prompt:
             return json.dumps({"best_rule_id": hits[0][0] if hits else "STOP"})

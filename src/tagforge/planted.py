@@ -44,7 +44,6 @@ class PlantedTaxonomy:
 
     children: dict[str, list[str]] = field(default_factory=dict)
     parent: dict[str, str] = field(default_factory=dict)
-    depth: dict[str, int] = field(default_factory=dict)
 
     def child_names(self, name: str) -> list[str]:
         return self.children.get(name, [])
@@ -79,13 +78,6 @@ class PlantedTaxonomy:
         for parent, kids in tax.children.items():
             for kid in kids:
                 tax.parent[kid] = parent
-        tax.depth[ROOT_NAME] = 0
-        pending = [ROOT_NAME]
-        while pending:
-            name = pending.pop()
-            for kid in tax.children.get(name, []):
-                tax.depth[kid] = tax.depth[name] + 1
-                pending.append(kid)
         return tax
 
 

@@ -162,13 +162,6 @@ ASSIGN_BEST_INSTRUCTION = (
     'Pick the single best-fitting rule. Respond ONLY with a single JSON object: '
     '{"best_rule_id": "rule_..."}. If no rule fits, respond {"best_rule_id": "STOP"}.'
 )
-ASSIGN_PATH_INSTRUCTION = (
-    'The rules form a tree (indentation shows nesting). Pick the best-fitting path from a '
-    'top-level rule down to the deepest applicable rule. Respond ONLY with a single JSON '
-    'object: {"path_rule_ids": ["rule_...", "rule_..."]} ordered coarsest first. '
-    'Respond {"path_rule_ids": []} if nothing fits.'
-)
-
 FORMAT_REMINDER = (
     "REMINDER: your previous response could not be parsed. "
     "Respond ONLY with the exact JSON format requested above, with no extra text."

@@ -210,6 +210,5 @@ def _string_list(key: str) -> Callable[[str], list[str]]:
     return parse
 
 
-parse_path_choice = _string_list("path_rule_ids")  # one-shot path, maybe empty
 parse_name_list = _string_list("selected")  # user simulator: section names
 parse_keywords = _string_list("keywords")  # free-form tagging

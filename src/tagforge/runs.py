@@ -6,7 +6,9 @@ and renames it over the target only once the write finished, so a crash
 mid-write never leaves a truncated file behind. Each pipeline stage records
 a hash of its inputs in ``manifest.json``; a stage whose hash matches and
 whose outputs still exist is skipped, which makes every subcommand
-idempotent for unchanged inputs.
+idempotent for unchanged inputs. A stage that runs drops its entry before it
+writes, so that a run stopped midway leaves no entry over its half-written
+outputs.
 """
 
 from __future__ import annotations
@@ -164,6 +166,12 @@ def stage_is_current(paths: RunPaths, stage: str, digest: str,
     if not entry or entry.get("inputs_hash") != digest:
         return False
     return all(p.exists() for p in outputs)
+
+
+def unmark_stage(paths: RunPaths, stage: str) -> None:
+    manifest = load_manifest(paths)
+    if manifest.pop(stage, None) is not None:
+        write_json(paths.manifest, manifest, indent=2, sort_keys=True)
 
 
 def mark_stage(paths: RunPaths, stage: str, digest: str,

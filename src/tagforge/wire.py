@@ -21,9 +21,8 @@ def flatten(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def rule_line(rule_id: str, name: str, description: str, indent: int = 0) -> str:
-    pad = "  " * indent
-    return f"{pad}- {rule_id} :: {flatten(name)} :: {flatten(description)}"
+def rule_line(rule_id: str, name: str, description: str) -> str:
+    return f"- {rule_id} :: {flatten(name)} :: {flatten(description)}"
 
 
 def rules_text(rules) -> str:

@@ -70,8 +70,6 @@ def test_assign_paths_renders_each_rule_list_once_per_batch(small_build,
     assign_paths(corpus, tree, make_gateway(world), parallelism=4)
     internal = [rule_id for rule_id, children in tree.children.items() if children]
     assert len(rendered) == len(internal)
-    lines.clear()
-    assign_paths(corpus, tree, make_gateway(world), parallelism=4, mode="one-shot")
     assert len(lines) == len(tree.descriptor_nodes())
 
 
@@ -98,25 +96,6 @@ def test_assign_paths_budget_raises_after_exact_budget(small_build):
     with pytest.raises(BudgetExhaustedError):
         assign_paths(corpus, state.tree, gateway, parallelism=4)
     assert gateway.ledger.calls() == 25
-
-
-def test_one_shot_mode_matches_per_level(small_build):
-    world, state = small_build
-    corpus = Corpus(list(world.corpus)[:40])
-    per_level = assign_paths(corpus, state.tree, make_gateway(world),
-                             mode="per-level")
-    one_shot = assign_paths(corpus, state.tree, make_gateway(world),
-                            mode="one-shot")
-    assert [(r.item_id, r.path) for r in per_level] == \
-        [(r.item_id, r.path) for r in one_shot]
-
-
-def test_one_shot_single_call_per_item(small_build):
-    world, state = small_build
-    corpus = Corpus(list(world.corpus)[:25])
-    gateway = make_gateway(world)
-    assign_paths(corpus, state.tree, gateway, mode="one-shot")
-    assert gateway.ledger.calls(AgentRole.ANNOTATOR, prompts.ASSIGN_ITEM) == 25
 
 
 def test_resolver_all_distinct_paths():

@@ -267,21 +267,55 @@ sys.exit(cli.dispatch(sys.argv[1:]))
 """
 
 
+# Runs a stage and dies without any clean-up right after vocab_items.jsonl
+# lands, before the stage's other outputs and its manifest entry.
+_KILLED_AFTER_VOCAB_ITEMS = """
+import os, sys
+from tagforge import cli
+replace = os.replace
+def replace_then_die(src, dst):
+    replace(src, dst)
+    if os.path.basename(dst) == "vocab_items.jsonl":
+        os._exit(9)
+os.replace = replace_then_die
+sys.exit(cli.dispatch(sys.argv[1:]))
+"""
+
+
+def _dispatch_killed(script: str, *argv: str) -> None:
+    """Run ``script`` on ``argv`` in a child process that must die with 9."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    killed = subprocess.run([sys.executable, "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert killed.returncode == 9, killed.stderr
+
+
 def test_ledger_counts_every_call_after_a_hard_kill(tmp_path):
     world = make_world(branching=(3, 3), n_items=150, seed=7)
     config_path = _mock_config(tmp_path, world)
     assert dispatch(["build-vocab", "--config", str(config_path),
                      "--budget-max-calls", "170"]) == 3
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    killed = subprocess.run([sys.executable, "-c", _KILLED_AFTER_SECOND_CHECKPOINT,
-                             "build-vocab", "--config", str(config_path)],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert killed.returncode == 9, killed.stderr
+    _dispatch_killed(_KILLED_AFTER_SECOND_CHECKPOINT,
+                     "build-vocab", "--config", str(config_path))
     assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
     run_dir = tmp_path / "run"
     assert _calls(run_dir) == len(list(read_jsonl(run_dir / "transcript.jsonl")))
+
+
+def test_a_stopped_rerun_leaves_no_current_entry(tmp_path, capsys):
+    """A re-run at depth 1, killed after vocab_items.jsonl lands, must not
+    leave the depth-3 run's manifest entry over its depth-1 vocab.json."""
+    world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
+    config_path = _mock_config(tmp_path, world, build={"d_max": 3, "tau_split": 20})
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    _dispatch_killed(_KILLED_AFTER_VOCAB_ITEMS,
+                     "build-vocab", "--config", str(config_path), "--depth", "1")
+    capsys.readouterr()
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert read_json(tmp_path / "run/vocab.json")["config"]["d_max"] == 3
 
 
 def test_checkpoint_with_the_old_ledger_key_is_continued(tmp_path, capsys):
@@ -706,7 +740,8 @@ def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
     *(pytest.param([], {key: value}, id=key)
       for key, value in [("n_slots", 4), ("freeform_n_tags", 3),
                          ("freeform_min_f", 10), ("freeform_max_f", 2000),
-                         ("freeform_bins", 4), ("freeform_kmeans_k", 50)]),
+                         ("freeform_bins", 4), ("freeform_kmeans_k", 50),
+                         ("assign_mode", "one-shot")]),
 ])
 def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world,
                                                   flags, extra):
@@ -734,7 +769,6 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, stage", [("backend", "build-vocab"),
-                                        ("assign_mode", "assign"),
                                         ("eval_mode", "evaluate"),
                                         ("simulator", "critique-eval")])
 def test_value_outside_its_choices_is_config_error(tmp_path, capsys, small_world,
@@ -769,7 +803,7 @@ def test_backend_identity_is_an_llm_stage_input(tmp_path, key, value):
 OTHER_VALUES = {
     "backend": "http", "seed": 11, "corpus_path": "other/corpus.jsonl",
     "interactions_path": "other/interactions.jsonl", "strict_ingest": False,
-    "build": {"d_max": 2}, "assign_mode": "one-shot", "parallelism": 3,
+    "build": {"d_max": 2}, "parallelism": 3,
     "embed_dim": 64, "surrogate_order": 2, "surrogate_alpha": 0.5,
     "beam_width": 30, "eval_mode": "sampled", "eval_ks": [5, 10],
     "n_negatives": 50, "simulator": "llm", "budget_max_calls": 100,

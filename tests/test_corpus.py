@@ -193,9 +193,10 @@ def test_last_out_split_definition():
 
 def test_last_out_split_excludes_short_users():
     records = [Interaction("u", "a", 1), Interaction("u", "b", 2)]
-    split = last_out_split(records)
+    report = IngestReport()
+    split = last_out_split(records, report)
     assert "u" not in split.train
-    assert split.n_excluded_users == 1
+    assert report.excluded_users == 1
 
 
 def test_last_out_split_ties_keep_input_order(tmp_path):

@@ -135,17 +135,17 @@ def test_logprob_rows_equal_log_of_prob(order, alpha, first, later, queries):
     vocab = 6
     model = SurrogateModel(order=order, alpha=alpha, vocab_size=vocab)
     for stream in first:
-        model.observe_stream(stream)
+        model.observe_streams([stream])
     seen_ctx = next(iter(model.counts), ())
     queries = queries + [(5, list(seen_ctx)), (5, [5] * (order - 1))]
     for token, ctx in queries:
         assert model.logprob(token, tuple(ctx)) == \
             _expected_logprob(model, token, tuple(ctx))
     for stream in later:
-        model.observe_stream(stream)
+        model.observe_streams([stream])
     fresh = SurrogateModel(order=order, alpha=alpha, vocab_size=vocab)
     for stream in first + later:
-        fresh.observe_stream(stream)
+        fresh.observe_streams([stream])
     for token, ctx in queries:
         expected = _expected_logprob(fresh, token, tuple(ctx))
         assert model.logprob(token, tuple(ctx)) == expected
@@ -386,7 +386,7 @@ def test_observing_a_stream_drops_the_expansion_table(decode_setup):
               for history, width, allowed in requests]
     favourite = table.rows[-1].item_id
     for _ in range(20):
-        model.observe_stream(user_stream(table, [favourite] * 3, 3))
+        model.observe_streams([user_stream(table, [favourite] * 3, 3)])
     after = [beam_decode(model, history, trie, width, allowed)
              for history, width, allowed in requests]
     assert after != before

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagforge import prompts, protocol, wire
-from tagforge.assignment import _vocabulary_text, assign_paths
+from tagforge.assignment import assign_paths
 from tagforge.corpus import Corpus, Item
 from tagforge.freeform import generate_freeform
 from tagforge.gateway import AgentRole, Gateway
@@ -329,14 +329,6 @@ def test_batched_prompts_are_render_prompt_of_their_node_and_item(small_build):
         if tree.children.get(rule_id))
     assert sum(expected.values()) > len(corpus)
     assert Counter(sent) == expected
-
-    gateway, sent = _recording_gateway(world)
-    assign_paths(corpus, tree, gateway, parallelism=2, mode="one-shot")
-    assert Counter(sent) == Counter(
-        render_prompt(prompts.ASSIGN_ITEM, {
-            "rules_text": _vocabulary_text(tree), "item_text": _item_text(item),
-            "instruction": prompts.ASSIGN_PATH_INSTRUCTION})
-        for item in corpus)
 
     gateway, sent = _recording_gateway(world)
     rules = tree.children_of(tree.root_id)
