@@ -4,13 +4,12 @@ Each item gets one descriptor per level via a greedy descent: one annotator
 call per visited level, unless the build's annotators already matched the
 item to exactly one child there. Items sharing a path receive
 collision-resolver ranks so that (path, resolver) is a bijection onto items,
-and the result exports both as token sequences and as fixed-slot categorical
-features.
+and the result is exported as one token sequence per item, with the
+vocabulary's usage statistics.
 """
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -21,15 +20,13 @@ from . import prompts, wire
 from .corpus import Corpus
 from .gateway import AgentRole, BackendRefusalError, Gateway, fan_out
 from .protocol import STOP, ProtocolError, parse_best_rule
-from .runs import atomic_open, read_json, read_jsonl, write_json, write_jsonl
+from .runs import read_json, read_jsonl, write_json, write_jsonl
 from .vocab import VocabularyTree
 
 BOS = "<bos>"
 EOS = "<eos>"
 SEP = "<sep>"
 SPECIALS = (BOS, EOS, SEP)
-
-NONE_SLOT = "NONE"
 
 
 # What the build's annotators matched: node rule id -> item id -> children.
@@ -252,32 +249,6 @@ def export_semids(records: list[AssignmentRecord],
         rows.append(SemidRow(item_id=rec.item_id, tokens=tokens,
                              path_names=names))
     return SemidTable(rows=rows, token_map=token_map)
-
-
-def export_fixed_slots(records: list[AssignmentRecord], tree: VocabularyTree,
-                       n_slots: int) -> list[dict[str, str]]:
-    """Fixed-slot nominal features: slot k holds the depth-(k+1) rule id."""
-    max_len = max((len(r.path) for r in records), default=0)
-    if n_slots < max_len:
-        raise AssignmentError(
-            f"n_slots={n_slots} is smaller than the longest path ({max_len})")
-    rows = []
-    for rec in sorted(records, key=lambda r: r.item_id):
-        row = {"item_id": rec.item_id}
-        for slot in range(n_slots):
-            row[f"slot_{slot + 1}"] = (rec.path[slot] if slot < len(rec.path)
-                                       else NONE_SLOT)
-        rows.append(row)
-    return rows
-
-
-def write_fixed_slots_csv(rows: list[dict[str, str]], path: str | Path) -> None:
-    if not rows:
-        raise AssignmentError("no rows to write")
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def vocab_stats(records: list[AssignmentRecord],

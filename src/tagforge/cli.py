@@ -90,9 +90,18 @@ class RunConfig:
         return cls(**payload)
 
     def __post_init__(self) -> None:
-        for name in ("parallelism", "beam_width"):
-            if getattr(self, name) < 1:
-                raise CliError("config", f"{name} must be >= 1", 2)
+        for name, floor in (("beam_width", 1), ("embed_dim", 1),
+                            ("surrogate_order", 1), ("n_negatives", 1),
+                            ("surrogate_alpha", 0), ("backoff_base", 0),
+                            ("max_retries", 0)):
+            if getattr(self, name) < floor:
+                raise CliError("config", f"{name} must be >= {floor}", 2)
+        if self.budget_max_calls is not None and self.budget_max_calls < 0:
+            raise CliError("config", "budget_max_calls must be >= 0", 2)
+        if any(k < 1 for k in self.eval_ks):
+            raise CliError("config", "eval_ks entries must be >= 1", 2)
+        if not 0.0 <= self.mock_false_negative_rate <= 1.0:
+            raise CliError("config", "mock_false_negative_rate must be in [0, 1]", 2)
         try:  # the build block, with the top level's seed and parallelism
             self.build_config = BuildConfig.from_json(
                 {"seed": self.seed, "parallelism": self.parallelism, **self.build})
@@ -432,7 +441,7 @@ def _assign(run: StageRun) -> str:
 
 @_stage("encode",
         lambda run: (run.paths.assignments, run.paths.vocab),
-        lambda run: [run.paths.semids, run.paths.token_map, run.paths.fixed_slots,
+        lambda run: [run.paths.semids, run.paths.token_map,
                      run.paths.reports / "vocab_stats.json"])
 def _encode(run: StageRun) -> str:
     paths = run.paths
@@ -441,9 +450,6 @@ def _encode(run: StageRun) -> str:
                for raw in read_jsonl(_require(paths.assignments, "assign"))]
     table = asg.export_semids(records, tree)
     table.save(paths.semids, paths.token_map)
-    n_slots = max(tree.max_depth(), max((len(r.path) for r in records), default=1))
-    rows = asg.export_fixed_slots(records, tree, n_slots)
-    asg.write_fixed_slots_csv(rows, paths.fixed_slots)
     stats = asg.vocab_stats(records, tree)
     write_json(paths.reports / "vocab_stats.json", stats.to_json(), indent=2,
                sort_keys=True)
@@ -563,20 +569,22 @@ def _baseline_freeform(run: StageRun) -> str:
         lambda run: (run.paths.build_report, run.paths.refinement_logs,
                      run.paths.reports / "vocab_stats.json", run.paths.ledger,
                      run.paths.transcript),
-        lambda run: [run.paths.reports / "summary.json"])
+        lambda run: [run.paths.reports / "summary.json",
+                     run.paths.reports / "coverage_deltas.csv"])
 def _report(run: StageRun) -> str:
-    """Writes ``summary.json``; prints its path, then one line per (role,
-    template) in the transcript: ``latency <role>/<template> calls=<n>
-    p50_ms=<x> p95_ms=<y> max_ms=<z>``."""
+    """Writes ``summary.json`` and ``coverage_deltas.csv`` (its header only
+    when no node ran two refine cycles); prints the summary's path, then one
+    line per (role, template) in the transcript: ``latency <role>/<template>
+    calls=<n> p50_ms=<x> p95_ms=<y> max_ms=<z>``."""
     paths = run.paths
     summary: dict = {}
     if paths.build_report.exists():
         summary["build"] = read_json(paths.build_report)
     logs = ([log_from_json(row) for row in read_jsonl(paths.refinement_logs)]
             if paths.refinement_logs.exists() else [])
+    rows = evalkit.coverage_deltas(logs)
+    evalkit.write_coverage_csv(rows, paths.reports / "coverage_deltas.csv")
     if logs:
-        rows = evalkit.coverage_deltas(logs)
-        evalkit.write_coverage_csv(rows, paths.reports / "coverage_deltas.csv")
         summary["coverage_cycles"] = len(rows)
     stats_path = paths.reports / "vocab_stats.json"
     if stats_path.exists():

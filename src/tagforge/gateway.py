@@ -374,17 +374,17 @@ R = TypeVar("R")
 
 
 def fan_out(pool: Executor, work: Callable[[T], R], items: Iterable[T],
-            width: int | None = None) -> list[R | GatewayError | ProtocolError]:
+            width: int) -> list[R | GatewayError | ProtocolError]:
     """``work(item)`` for every item on ``pool``; the results in item order.
 
     ``min(width, len(items))`` workers go to the pool, ``width`` being the
-    pool's width (one worker per item without it). Each worker takes the
-    next item not yet taken until none is left, so a slow item holds up
-    only its own worker. A :class:`TransportExhaustedError`,
-    :class:`BackendRefusalError` or :class:`ProtocolError` ends only its
-    own item and takes that item's place in the results. A
-    :class:`BudgetExhaustedError` is raised once every item has finished,
-    so that the caller saves a ledger no call is still adding to.
+    pool's width. Each worker takes the next item not yet taken until none
+    is left, so a slow item holds up only its own worker. A
+    :class:`TransportExhaustedError`, :class:`BackendRefusalError` or
+    :class:`ProtocolError` ends only its own item and takes that item's
+    place in the results. A :class:`BudgetExhaustedError` is raised once
+    every item has finished, so that the caller saves a ledger no call is
+    still adding to.
     """
     items = list(items)
     results: list = [None] * len(items)
@@ -401,7 +401,7 @@ def fan_out(pool: Executor, work: Callable[[T], R], items: Iterable[T],
                 results[index] = exc
 
     workers = [pool.submit(drain)
-               for _ in range(min(width or len(items), len(items)))]
+               for _ in range(min(width, len(items)))]
     for worker in workers:
         worker.result()
     budget_error = next((r for r in results if isinstance(r, BudgetExhaustedError)),

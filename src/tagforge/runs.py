@@ -67,8 +67,6 @@ class RunPaths:
     @property
     def token_map(self) -> Path: return self.root / "token_map.json"
     @property
-    def fixed_slots(self) -> Path: return self.root / "fixed_slots.csv"
-    @property
     def model(self) -> Path: return self.root / "model.bin"
     @property
     def reports(self) -> Path: return self.root / "reports"

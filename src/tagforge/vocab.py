@@ -206,16 +206,16 @@ class BuildConfig:
     parallelism: int = 8
 
     def __post_init__(self) -> None:
-        if self.d_max < 1:
-            raise VocabularyError("d_max must be >= 1")
-        if self.tau_split < 2:
-            raise VocabularyError("tau_split must be >= 2")
+        for name, floor in (("d_max", 1), ("tau_split", 2), ("c_max", 1),
+                            ("n_target_rules", 1), ("branching_factor", 0),
+                            ("min_error_reports", 0), ("proposal_batch", 1),
+                            ("ticket_examples_cap", 1), ("parallelism", 1)):
+            if getattr(self, name) < floor:
+                raise VocabularyError(f"{name} must be >= {floor}")
+        if self.tau_anom is not None and self.tau_anom < 0:
+            raise VocabularyError("tau_anom must be >= 0")
         if not 0.0 < self.coverage_break <= 1.0:
             raise VocabularyError("coverage_break must be in (0, 1]")
-        if self.branching_factor < 0:
-            raise VocabularyError("branching_factor must be >= 0 (0 = unlimited)")
-        if self.parallelism < 1:
-            raise VocabularyError("parallelism must be >= 1")
 
     def anomaly_threshold(self, n_items: int) -> int:
         if self.tau_anom is not None:

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from tagforge import prompts, wire
-from tagforge.assignment import (AssignmentError, AssignmentRecord, NONE_SLOT,
-                                 SPECIALS, assign_paths,
-                                 export_fixed_slots, export_semids,
+from tagforge.assignment import (AssignmentError, AssignmentRecord, SPECIALS,
+                                 assign_paths, export_semids,
                                  resolve_collisions, vocab_stats)
 from tagforge.corpus import Corpus, Item
 from tagforge.gateway import AgentRole, BudgetExhaustedError
@@ -174,32 +173,6 @@ def test_export_semids_requires_resolvers():
     records[0].resolver = None
     with pytest.raises(AssignmentError, match="unresolved"):
         export_semids(records, tree)
-
-
-def test_fixed_slots_padding_and_closure(small_semids):
-    _, tree, records, _ = small_semids
-    rows = export_fixed_slots(records, tree, n_slots=3)
-    valid = set(tree.nodes) | {NONE_SLOT}
-    for row in rows:
-        assert set(row) == {"item_id", "slot_1", "slot_2", "slot_3"}
-        assert row["slot_3"] == NONE_SLOT  # tree depth is 2
-        for slot in ("slot_1", "slot_2", "slot_3"):
-            assert row[slot] in valid
-
-
-def test_fixed_slots_short_path_padded():
-    tree, records = _two_item_tree()
-    rows = export_fixed_slots(records, tree, n_slots=3)
-    for row in rows:
-        assert row["slot_1"].startswith("rule_")
-        assert row["slot_2"].startswith("rule_")
-        assert row["slot_3"] == NONE_SLOT
-
-
-def test_fixed_slots_too_narrow_errors():
-    tree, records = _two_item_tree()
-    with pytest.raises(AssignmentError, match="n_slots"):
-        export_fixed_slots(records, tree, n_slots=1)
 
 
 def test_vocab_stats_full_reuse_is_one(small_semids):

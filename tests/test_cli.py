@@ -67,9 +67,10 @@ def test_full_pipeline_exit_codes_and_artifacts(workspace):
     for name in ("corpus.jsonl", "splits.jsonl", "vocab.json",
                  "vocab_items.jsonl", "refinement_logs.jsonl",
                  "build_report.json", "assignments.jsonl", "semids.jsonl",
-                 "token_map.json", "fixed_slots.csv", "model.bin",
-                 "ledger.jsonl", "config.json", "manifest.json"):
+                 "token_map.json", "model.bin", "ledger.jsonl", "config.json",
+                 "manifest.json"):
         assert (run_dir / name).exists(), name
+    assert not (run_dir / "fixed_slots.csv").exists()
     for name in ("ingest.json", "vocab_stats.json", "eval_sampled.json",
                  "critique_eval.json", "freeform.json", "summary.json",
                  "coverage_deltas.csv", "recommendations.jsonl"):
@@ -577,6 +578,25 @@ def test_report_prints_latency_per_template(tmp_path, capsys):
             for key, row in summary.items()] == expected
 
 
+def test_report_owns_the_coverage_csv(tmp_path, capsys):
+    world = make_world(branching=(3, 3), n_items=150, seed=7)
+    # A hidden topic and dropped matches make the root run several cycles.
+    config_path = _mock_config(tmp_path, world, mock_false_negative_rate=0.15,
+                               mock_hidden_categories=[world.taxonomy.level1[0]])
+    csv_path = tmp_path / "run/reports/coverage_deltas.csv"
+    assert dispatch(["report", "--config", str(config_path)]) == 0
+    assert csv_path.read_text().splitlines() == ["level,cycle,delta"]
+    assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
+    assert dispatch(["report", "--config", str(config_path)]) == 0
+    written = csv_path.read_bytes()
+    assert len(written.splitlines()) > 1
+    capsys.readouterr()
+    csv_path.unlink()
+    assert dispatch(["report", "--config", str(config_path)]) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert csv_path.read_bytes() == written
+
+
 def test_baseline_freeform_writes_only_the_tag_table_and_its_summary(tmp_path):
     world = make_world(branching=(3,), n_items=30, seed=7)
     config_path = _mock_config(tmp_path, world)
@@ -742,6 +762,18 @@ def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
                          ("freeform_min_f", 10), ("freeform_max_f", 2000),
                          ("freeform_bins", 4), ("freeform_kmeans_k", 50),
                          ("assign_mode", "one-shot")]),
+    *(pytest.param([], {"build": {key: value}}, id=f"build.{key} {value}")
+      for key, value in [("c_max", 0), ("n_target_rules", 0),
+                         ("proposal_batch", 0), ("ticket_examples_cap", 0),
+                         ("min_error_reports", -1), ("tau_anom", -1)]),
+    *(pytest.param([], {key: value}, id=f"{key} {value}")
+      for key, value in [("surrogate_order", 0), ("embed_dim", 0),
+                         ("n_negatives", 0), ("n_negatives", -1),
+                         ("eval_ks", [0]), ("eval_ks", [5, 0]),
+                         ("surrogate_alpha", -1), ("backoff_base", -0.5),
+                         ("max_retries", -1), ("budget_max_calls", -1),
+                         ("mock_false_negative_rate", 2.0),
+                         ("mock_false_negative_rate", -0.1)]),
 ])
 def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world,
                                                   flags, extra):

@@ -268,7 +268,8 @@ def test_transcript_keeps_every_line_under_concurrent_calls(tmp_path):
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             fan_out(pool, lambda n: gateway.complete(
-                AgentRole.ANNOTATOR, "x" * n, "AssignItem"), range(1, 401))
+                AgentRole.ANNOTATOR, "x" * n, "AssignItem"), range(1, 401),
+                width=400)
     finally:
         sys.setswitchinterval(interval)
         gateway.close()
@@ -321,7 +322,7 @@ def test_fan_out_keeps_item_order_and_per_item_failures():
         return i * 10
 
     with ThreadPoolExecutor(max_workers=3) as pool:
-        results = fan_out(pool, work, range(7))
+        results = fan_out(pool, work, range(7), width=7)
     assert [r if isinstance(r, int) else str(r) for r in results] == \
         [0, 10, "down", 30, "garbled", "refused", 60]
 
@@ -342,7 +343,7 @@ def test_fan_out_raises_budget_after_every_item_finished():
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(BudgetExhaustedError, match="spent"):
-            fan_out(pool, work, range(8))
+            fan_out(pool, work, range(8), width=8)
         assert sorted(done) == list(range(1, 8))
 
 
