@@ -9,9 +9,13 @@ Every subcommand is an entry of ``STAGES`` run by :func:`run_stage`, which
 skips it when the run manifest says its inputs are unchanged, else drops its
 manifest entry before the body writes, and owns the gateway's close (which
 saves the ledger) and the exit codes; a lock file keeps writers exclusive.
-The modules that load numpy (``builder``, ``clustering``, ``freeform``) are
-imported inside the two stage bodies that use them, so that no other stage's
-process pays for them. ``assign`` has one path, the per-level descent.
+Each stage imports the modules only its body runs (``builder``,
+``clustering`` and ``freeform``, which load numpy; ``assignment``,
+``decoding``, ``evalkit``; ``mockllm`` and ``planted`` in
+:func:`make_gateway`), so that a stage that skips, and every other stage's
+process, pays for none of them; ``fit``'s digest alone reads ``decoding``,
+for the model format version. ``assign`` has one path, the per-level
+descent.
 """
 
 from __future__ import annotations
@@ -25,16 +29,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Literal
 
-from . import assignment as asg
-from . import decoding as dec
-from . import evalkit
 from .corpus import (IngestReport, last_out_split, load_corpus,
                      load_interactions, read_splits, write_corpus, write_splits)
 from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
                       CallLedger, Gateway, HttpBackend, TransportExhaustedError,
                       transcript_latency)
-from .mockllm import MockLLMBackend
-from .planted import load_taxonomy
 from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
                    read_json, read_jsonl, stage_is_current, unmark_stage,
                    write_json, write_jsonl)
@@ -197,6 +196,9 @@ def _with_flags(payload: dict, args: argparse.Namespace) -> dict:
 
 def make_gateway(cfg: RunConfig, paths: RunPaths) -> Gateway:
     if cfg.backend == "mock":
+        from .mockllm import MockLLMBackend
+        from .planted import load_taxonomy
+
         if not cfg.mock_world_path:
             raise CliError("config", "mock backend requires mock_world_path", 2)
         taxonomy = load_taxonomy(cfg.mock_world_path)
@@ -322,12 +324,16 @@ def _decode_inputs(paths: RunPaths) -> tuple:
 
 
 def _load_split_and_table(paths: RunPaths):
+    from .assignment import SemidTable
+
     return (read_splits(_require(paths.splits, "ingest")),
-            asg.SemidTable.load(_require(paths.semids, "encode"),
-                                _require(paths.token_map, "encode")))
+            SemidTable.load(_require(paths.semids, "encode"),
+                            _require(paths.token_map, "encode")))
 
 
 def _decode_setup(paths: RunPaths):
+    from . import decoding as dec
+
     split, table = _load_split_and_table(paths)
     model = dec.SurrogateModel.load(_require(paths.model, "fit"))
     return split, table, model, dec.build_trie(table)
@@ -336,6 +342,8 @@ def _decode_setup(paths: RunPaths):
 def _run_eval(run: StageRun, *args, **kwargs) -> evalkit.MetricReport:
     """``evalkit.evaluate_run`` at the configured cutoffs, seed and beam
     width; cutoffs the beam cannot fill are a config error."""
+    from . import evalkit
+
     cfg = run.cfg
     try:
         return evalkit.evaluate_run(*args, ks=tuple(cfg.eval_ks), seed=cfg.seed,
@@ -425,6 +433,8 @@ def _build_vocab(run: StageRun) -> str:
                      *_backend_parts(run.cfg), run.cfg.seed),
         lambda run: [run.paths.assignments])
 def _assign(run: StageRun) -> str:
+    from . import assignment as asg
+
     paths = run.paths
     corpus = load_corpus(_corpus_source(run))
     annotations = ({row["rule_id"]: row["matched"]
@@ -444,6 +454,8 @@ def _assign(run: StageRun) -> str:
         lambda run: [run.paths.semids, run.paths.token_map,
                      run.paths.reports / "vocab_stats.json"])
 def _encode(run: StageRun) -> str:
+    from . import assignment as asg
+
     paths = run.paths
     tree = _load_tree(paths)
     records = [asg.AssignmentRecord.from_json(raw)
@@ -457,11 +469,17 @@ def _encode(run: StageRun) -> str:
             f"utilization {stats.utilization:.3f}")
 
 
-@_stage("fit",
-        lambda run: (run.paths.splits, run.paths.semids, run.cfg.surrogate_order,
-                     run.cfg.surrogate_alpha, dec.SurrogateModel.FORMAT_VERSION),
-        lambda run: [run.paths.model])
+def _fit_inputs(run: StageRun) -> tuple:
+    from .decoding import SurrogateModel
+
+    return (run.paths.splits, run.paths.semids, run.cfg.surrogate_order,
+            run.cfg.surrogate_alpha, SurrogateModel.FORMAT_VERSION)
+
+
+@_stage("fit", _fit_inputs, lambda run: [run.paths.model])
 def _fit(run: StageRun) -> str:
+    from . import decoding as dec
+
     cfg, paths = run.cfg, run.paths
     split, table = _load_split_and_table(paths)
     model = dec.fit_surrogate(split, table, order=cfg.surrogate_order,
@@ -474,6 +492,8 @@ def _fit(run: StageRun) -> str:
         lambda run: (*_decode_inputs(run.paths), run.cfg.beam_width),
         lambda run: [run.paths.reports / "recommendations.jsonl"])
 def _recommend(run: StageRun) -> str:
+    from . import decoding as dec
+
     split, table, model, trie = _decode_setup(run.paths)
     known = {row.item_id for row in table.rows}
 
@@ -517,6 +537,8 @@ def _critique_eval(run: StageRun) -> str:
     no section to critique toward: its user is decoded unconstrained in the
     constrained arm too, no simulator is asked, and ``n_unconstrained``
     counts such users."""
+    from .decoding import simulate_user
+
     cfg, paths = run.cfg, run.paths
     split, table, model, trie = _decode_setup(paths)
     tree = _load_tree(paths)
@@ -528,8 +550,8 @@ def _critique_eval(run: StageRun) -> str:
     # The plain run goes first: it rejects bad cutoffs before any simulator call.
     vanilla = _run_eval(run, model, trie, split, table, mode="full")
     allowed_by_user = {
-        user_id: dec.simulate_user(target, corpus, table, tree,
-                                   mode=cfg.simulator, gateway=gateway)
+        user_id: simulate_user(target, corpus, table, tree,
+                               mode=cfg.simulator, gateway=gateway)
         for user_id, target in targets.items() if path_of[target]}
     constrained = _run_eval(run, model, trie, split, table, mode="full",
                             allowed_level1_by_user=allowed_by_user)
@@ -576,6 +598,8 @@ def _report(run: StageRun) -> str:
     when no node ran two refine cycles); prints the summary's path, then one
     line per (role, template) in the transcript: ``latency <role>/<template>
     calls=<n> p50_ms=<x> p95_ms=<y> max_ms=<z>``."""
+    from . import evalkit
+
     paths = run.paths
     summary: dict = {}
     if paths.build_report.exists():

@@ -33,6 +33,17 @@ def brute_force_medoids(vectors: np.ndarray, k: int) -> tuple[list[int], float]:
     return list(best), float(best_cost)
 
 
+def reference_hashing_embed(texts: list[str], dim: int) -> np.ndarray:
+    """``HashingProvider.embed`` hashing every token occurrence on its own."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        for token in clustering._TOKEN_RE.findall(text.lower()):
+            out[row, clustering._bucket(token, dim)] += 1.0
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out
+
+
 def reference_swap_descent(dist: np.ndarray, medoids: list[int],
                            max_iter: int) -> tuple[list[int], float, list[float]]:
     """Best-improvement SWAP scored one medoid at a time, O(k n^2) per step.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tagforge import cli
+from tagforge import cli, mockllm
 from tagforge.cli import dispatch
 from tagforge.gateway import BackendRefusalError
 from tagforge.mockllm import MockLLMBackend
@@ -21,13 +21,19 @@ from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import (last_out_split, load_corpus, load_interactions,
                              read_splits, write_corpus, write_interactions,
                              write_splits)
+from tagforge.decoding import SurrogateModel
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
 from conftest import FaultBackend
 
 
+PIPELINE = ("ingest", "build-vocab", "assign", "encode", "fit", "recommend",
+            "evaluate", "critique-eval", "baseline-freeform", "report")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
+    """A 150-item world run through every stage of :data:`PIPELINE`."""
     root = tmp_path_factory.mktemp("cliws")
     world = make_world(branching=(3, 3), n_items=150, seed=5)
     data = root / "data"
@@ -50,6 +56,8 @@ def workspace(tmp_path_factory):
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config))
+    for command in PIPELINE:
+        assert run(config_path, command) == 0, command
     return root, config_path, world
 
 
@@ -58,11 +66,7 @@ def run(config_path, *argv):
 
 
 def test_full_pipeline_exit_codes_and_artifacts(workspace):
-    root, config_path, _ = workspace
-    for command in ("ingest", "build-vocab", "assign", "encode", "fit",
-                    "recommend", "evaluate", "critique-eval",
-                    "baseline-freeform", "report"):
-        assert run(config_path, command) == 0, command
+    root, _, _ = workspace
     run_dir = root / "run"
     for name in ("corpus.jsonl", "splits.jsonl", "vocab.json",
                  "vocab_items.jsonl", "refinement_logs.jsonl",
@@ -141,7 +145,7 @@ def test_stages_are_idempotent(workspace, capsys):
 def test_model_file_has_version_header(workspace):
     root, _, _ = workspace
     payload = json.loads((root / "run/model.bin").read_text())
-    assert payload["format_version"] == cli.dec.SurrogateModel.FORMAT_VERSION
+    assert payload["format_version"] == SurrogateModel.FORMAT_VERSION
 
 
 def test_fit_reruns_when_the_model_format_changes(workspace, tmp_path,
@@ -154,8 +158,8 @@ def test_fit_reruns_when_the_model_format_changes(workspace, tmp_path,
     for _ in range(2):  # the first run re-fits: the run directory moved
         assert run(config_path, "fit") == 0
     assert capsys.readouterr().out.endswith("fit: up to date, skipping\n")
-    bumped = cli.dec.SurrogateModel.FORMAT_VERSION + 1
-    monkeypatch.setattr(cli.dec.SurrogateModel, "FORMAT_VERSION", bumped)
+    bumped = SurrogateModel.FORMAT_VERSION + 1
+    monkeypatch.setattr(SurrogateModel, "FORMAT_VERSION", bumped)
     assert run(config_path, "fit") == 0
     assert capsys.readouterr().out.startswith("fit: order-3 model over ")
     assert read_json(tmp_path / "run/model.bin")["format_version"] == bumped
@@ -414,7 +418,7 @@ def test_assign_flags_a_refused_item_and_exits_0(tmp_path, monkeypatch,
     run_dir.mkdir()
     state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
     refused = world.corpus.item_ids[3]
-    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+    monkeypatch.setattr(mockllm, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
         MockLLMBackend(*args, **kwargs), f"[{refused}]", BackendRefusalError))
     assert dispatch(["assign", "--config", str(config_path)]) == 0
     flagged = {row["item_id"]: row["flag"]
@@ -464,7 +468,7 @@ def test_parallelism_changes_no_output(tmp_path, monkeypatch):
     """The review world, with a seeded 5% of annotation prompts refused:
     reflection cycles, reviews and per-item failures at 1 and 4 threads."""
     world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
-    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+    monkeypatch.setattr(mockllm, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
         MockLLMBackend(*args, **kwargs), "You are annotating catalog items",
         BackendRefusalError, rate=0.05, seed=3))
     outputs = {}
@@ -524,7 +528,7 @@ def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
                                      "Parent category:"))
         return backends[-1]
 
-    monkeypatch.setattr(cli, "MockLLMBackend", level1_outage)
+    monkeypatch.setattr(mockllm, "MockLLMBackend", level1_outage)
     assert dispatch(["build-vocab", "--config", str(config_path)]) == 3
     assert capsys.readouterr().err.startswith("ERR:transport-exhausted:")
     run_dir = tmp_path / "run"
@@ -534,7 +538,7 @@ def test_transport_outage_interrupts_build_then_resume(tmp_path, monkeypatch,
     assert retries > 0
     assert read_json(run_dir / "vocab.checkpoint.json")["completed"]
 
-    monkeypatch.setattr(cli, "MockLLMBackend", MockLLMBackend)
+    monkeypatch.setattr(mockllm, "MockLLMBackend", MockLLMBackend)
     assert dispatch(["resume", "--config", str(config_path)]) == 0
     refined = read_json(run_dir / "build_report.json")["nodes_refined"]
     assert len(refined) == len(set(refined)) == 4  # root + 3 level-1 nodes
@@ -620,7 +624,7 @@ def test_refused_node_init_fails_only_that_node(tmp_path, monkeypatch):
     world = make_world(branching=(3, 3), n_items=150, seed=7)
     config_path = _mock_config(tmp_path, world)
     # Node-level init prompts below the root carry the parent category.
-    monkeypatch.setattr(cli, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
+    monkeypatch.setattr(mockllm, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
         MockLLMBackend(*args, **kwargs), "Parent category:", BackendRefusalError))
     assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
     run_dir = tmp_path / "run"
@@ -946,6 +950,9 @@ def test_console_entrypoint_help():
 # http backend may load.
 HEAVY_MODULES = ("numpy", "requests", "tagforge.clustering", "tagforge.refinement",
                  "tagforge.builder", "tagforge.freeform")
+# What only the stage bodies that run them (and the mock backend) load.
+STAGE_MODULES = ("tagforge.assignment", "tagforge.decoding", "tagforge.evalkit",
+                 "tagforge.mockllm", "tagforge.planted")
 
 
 def _src_env() -> dict:
@@ -955,8 +962,9 @@ def _src_env() -> dict:
 
 
 def test_cli_import_loads_no_heavy_module():
+    modules = HEAVY_MODULES + STAGE_MODULES
     probe = ("import json, sys, tagforge.cli; "
-             f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=_src_env(), check=True)
     assert json.loads(out.stdout) == []

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tagforge import clustering
 from tagforge.clustering import (ClusteringError, HashingProvider, distill,
                                  embed_batch, k_means, k_medoids, _bucket,
                                  _distance_matrix)
 from tagforge.planted import make_world
 
-from oracles import (brute_force_medoids, reference_k_medoids,
-                     reference_swap_descent)
+from oracles import (brute_force_medoids, reference_hashing_embed,
+                     reference_k_medoids, reference_swap_descent)
 
 
 def test_hashing_provider_deterministic(provider):
@@ -27,6 +28,15 @@ def test_hashing_provider_unit_norm(provider):
     vectors = embed_batch(provider, ["alpha beta gamma", "x", "one two"])
     norms = np.linalg.norm(vectors, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+def test_hashing_provider_matches_per_token_reference(dim):
+    world = make_world(branching=(4, 4), n_items=300, seed=3)
+    texts = [item.prompt_text() for item in world.corpus]
+    texts += ["", "!!", "Tent tent TENT pole", "tent-pole tent_pole 42 42"]
+    assert np.array_equal(HashingProvider(dim=dim).embed(texts),
+                          reference_hashing_embed(texts, dim))
 
 
 def test_disjoint_tokens_cosine_zero(provider):
@@ -114,10 +124,44 @@ def test_k_medoids_matches_reference_swap(n, k, dim, grid, seed):
                 assert _cost(dist, swapped) >= cost - 1e-9, (mi, h)
 
 
+def _count_descents(monkeypatch) -> list:
+    calls = []
+    descent = clustering._swap_descent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_swap_descent", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 4, 15])
+def test_k_medoids_restarts_only_up_to_clara_sample_size(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    calls = _count_descents(monkeypatch)
+    for n, descents in ((40 + 2 * k, 1 + clustering._RESTARTS), (41 + 2 * k, 1)):
+        calls.clear()
+        k_medoids(rng.normal(size=(n, 3)), k, seed=k)
+        assert len(calls) == descents, n
+
+
 def test_k_medoids_planted_items_match_reference_medoids():
-    # n <= 512 also exercises the random restarts.
+    # n > 40 + 2k: the BUILD start alone.
     vectors = _planted_vectors(400)
     result = k_medoids(vectors, 15, seed=4)
+    reference = reference_k_medoids(vectors, 15, seed=4)
+    assert result.medoid_indices == reference.medoid_indices
+    assert result.total_cost == reference.total_cost
+
+
+def test_k_medoids_planted_restarts_match_reference_medoids(monkeypatch):
+    # n = 40 + 2k: BUILD plus the seeded random restarts.
+    vectors = _planted_vectors(70)
+    calls = _count_descents(monkeypatch)
+    result = k_medoids(vectors, 15, seed=4)
+    assert len(calls) == 1 + clustering._RESTARTS
+    monkeypatch.undo()
     reference = reference_k_medoids(vectors, 15, seed=4)
     assert result.medoid_indices == reference.medoid_indices
     assert result.total_cost == reference.total_cost
