@@ -175,10 +175,11 @@ class SemidRow:
 class SemidTable:
     """Token sequences per item plus the token meanings.
 
-    ``token_of`` (name -> token), ``special_tokens``, the item id index and
+    ``token_of`` (name -> token), ``special_tokens``, the item id index,
     ``units`` (item id -> its tokens without the trailing EOS, as a tuple)
-    are built once from ``rows`` and ``token_map``, which are not to be
-    mutated afterwards.
+    and ``first_tokens`` (the tokens some item's sequence starts with) are
+    built once from ``rows`` and ``token_map``, which are not to be mutated
+    afterwards.
     """
 
     rows: list[SemidRow]
@@ -193,6 +194,7 @@ class SemidTable:
         self.units = {row.item_id: tuple(row.tokens[:-1] if row.tokens and
                                          row.tokens[-1] == eos else row.tokens)
                       for row in self.rows}
+        self.first_tokens = {units[0] for units in self.units.values() if units}
 
     def row_of(self, item_id: str) -> SemidRow:
         return self._by_id[item_id]

@@ -148,7 +148,6 @@ def build_vocabulary(corpus: Corpus, config: BuildConfig, gateway: Gateway,
                 continue
             _commit(tree, parent, result, config, state)
             checkpoint()
-    tree.validate()
     return state
 
 

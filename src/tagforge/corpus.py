@@ -74,9 +74,6 @@ class Corpus:
     def __iter__(self):
         return iter(self._items)
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self._index
-
     def get(self, item_id: str) -> Item:
         return self._items[self._index[item_id]]
 

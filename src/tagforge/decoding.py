@@ -334,7 +334,8 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
     Oracle mode returns the target's own level-1 token. LLM mode asks the
     simulator prompt and maps the returned section names back onto level-1
     tokens; an unparseable or refused answer, or one naming no section,
-    falls back to the oracle's.
+    falls back to the oracle's. Only sections that some item's semantic ID
+    starts with are offered and accepted, since the decoder allows no other.
     """
     if mode not in ("oracle", "llm"):
         raise DecodingError(f"unknown simulator mode {mode!r}")
@@ -343,7 +344,7 @@ def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,
         raise DecodingError(f"{item_id}: no level-1 descriptor assigned")
     level1_nodes = tree.children_of(tree.root_id)
     token_by_name = {n.name: table.token_of[n.rule_id] for n in level1_nodes
-                     if n.rule_id in table.token_of}
+                     if table.token_of.get(n.rule_id) in table.first_tokens}
     oracle = {token_by_name[row.path_names[0]]}
     if mode == "oracle":
         return oracle

@@ -99,9 +99,6 @@ class PlantedWorld:
     corpus: Corpus
     true_path: dict[str, tuple[str, ...]]
 
-    def level1_of(self, item_id: str) -> str:
-        return self.true_path[item_id][0]
-
 
 def make_world(branching: tuple[int, ...] = (4, 4, 4), n_items: int = 2000,
                seed: int = 7, n_filler: int = 30) -> PlantedWorld:

@@ -81,7 +81,8 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
     annotator's sub-category proposal prompt. An unparseable or refused
     answer fails the node (:class:`RefinementError`).
     """
-    sample = distill_items(items, config.n_target_rules, provider, config.seed)
+    sample = distill(items, config.n_target_rules, provider, seed=config.seed,
+                     text_of=Item.prompt_text)
     sample_text = wire.items_text((it.item_id, it.prompt_text()) for it in sample)
     if parent.depth == 0:
         prompt = prompts.render_prompt(prompts.ARCHITECT_INIT, {
@@ -123,11 +124,6 @@ def init_vocabulary(items: list[Item], parent: DescriptorNode,
         local[rule_id] = node
         nodes.append(node)
     return nodes, notes
-
-
-def distill_items(items: list[Item], k: int, provider, seed: int) -> list[Item]:
-    return distill(items, k, provider, seed=seed,
-                   text_of=lambda it: it.prompt_text())
 
 
 def parallel_assign(items: list[Item], rules: list[DescriptorNode],

@@ -13,10 +13,10 @@ outputs.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,48 +181,34 @@ def mark_stage(paths: RunPaths, stage: str, digest: str,
 
 
 class RunLock:
-    """Exclusive-create lock file holding the writer's PID; one pipeline
-    stage per run dir at a time. A lock whose PID names no running process
-    is stale: it is taken over, with a note on stderr."""
+    """An exclusive ``flock`` on the run directory's ``.lock`` file: one
+    pipeline stage per run dir at a time.
+
+    The kernel drops the lock when the holding process ends, however it
+    ends, so no lock is ever stale. The lock belongs to the open file
+    description, so a second open of the file is refused even within one
+    process. The file is never unlinked: a writer that locked a new file at
+    the same path would not exclude one still holding the old one.
+    """
 
     def __init__(self, paths: RunPaths):
         self._path = paths.lock
-        self._held = False
+        self._fd: int | None = None
 
     def __enter__(self) -> "RunLock":
+        fd = os.open(self._path, os.O_CREAT | os.O_WRONLY, 0o666)
         try:
-            fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pid = self._stale_pid()
-            if pid is None:
-                raise RunDirError(
-                    f"run directory is locked by another process ({self._path}); "
-                    "remove the lock file if that process is gone") from None
-            print(f"WARN:stale-lock: taking over {self._path} "
-                  f"(pid {pid} is not running)", file=sys.stderr)
-            self._path.unlink(missing_ok=True)
-            return self.__enter__()
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        self._held = True
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RunDirError("run directory is locked by another process "
+                              f"({self._path})") from None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
         return self
 
-    def _stale_pid(self) -> int | None:
-        """The lock's PID if no process by that PID is running, else None
-        (also when the file cannot be read or holds no PID)."""
-        try:
-            pid = int(self._path.read_text(encoding="utf-8").strip())
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except (OSError, ValueError):
-            return None
-        return None
-
     def __exit__(self, *exc_info) -> None:
-        if self._held:
-            try:
-                self._path.unlink()
-            except FileNotFoundError:
-                pass
-            self._held = False
+        os.close(self._fd)
+        self._fd = None

@@ -51,7 +51,7 @@ class DescriptorNode:
 
 
 class VocabularyTree:
-    def __init__(self, root_items: set[str], config: dict | None = None):
+    def __init__(self, root_items: Iterable[str], config: dict | None = None):
         self.root_id = make_rule_id("root")
         root = DescriptorNode(rule_id=self.root_id, name=ROOT_NAME,
                               description=ROOT_DESCRIPTION, parent=None,
@@ -95,7 +95,10 @@ class VocabularyTree:
         return rule_id
 
     def add_child(self, parent_id: str, node: DescriptorNode) -> None:
-        parent = self.nodes[parent_id]
+        parent = self.nodes.get(parent_id)
+        if parent is None:
+            raise VocabularyError(
+                f"{node.rule_id}: parent {parent_id!r} is not in the tree")
         if node.rule_id in self.nodes:
             raise VocabularyError(f"duplicate rule_id {node.rule_id}")
         if node.parent != parent_id:
@@ -108,29 +111,6 @@ class VocabularyTree:
         self.nodes[node.rule_id] = node
         self.children.setdefault(parent_id, []).append(node.rule_id)
         self.children.setdefault(node.rule_id, [])
-
-    def validate(self) -> None:
-        """Check structural invariants; raises on violation."""
-        roots = [n for n in self.nodes.values() if n.parent is None]
-        if len(roots) != 1 or roots[0].rule_id != self.root_id:
-            raise VocabularyError("tree must have exactly one root")
-        reached = set()
-        stack = [self.root_id]
-        while stack:
-            rid = stack.pop()
-            if rid in reached:
-                raise VocabularyError(f"cycle through {rid}")
-            reached.add(rid)
-            stack.extend(self.children.get(rid, []))
-        if reached != set(self.nodes):
-            raise VocabularyError("unreachable nodes present")
-        for node in self.nodes.values():
-            if node.parent is not None:
-                parent = self.nodes[node.parent]
-                if node.depth != parent.depth + 1:
-                    raise VocabularyError(f"{node.rule_id}: bad depth")
-                if not node.items <= parent.items:
-                    raise VocabularyError(f"{node.rule_id}: items exceed parent")
 
     def to_json(self) -> dict:
         return {
@@ -147,24 +127,25 @@ class VocabularyTree:
     @classmethod
     def from_json(cls, payload: dict,
                   items_by_rule: Mapping[str, Iterable[str]]) -> "VocabularyTree":
-        """Inverse of :meth:`to_json`, with member items supplied per rule."""
-        tree = cls.__new__(cls)
-        tree.root_id = payload["root"]
-        tree.config = payload.get("config", {})
-        tree.nodes = {}
-        tree.children = {}
-        for rid, raw in payload["nodes"].items():
-            tree.nodes[rid] = DescriptorNode(
+        """Inverse of :meth:`to_json`, with member items supplied per rule.
+
+        Nodes are added through :meth:`add_child` in (depth, rule_id) order,
+        so a loaded tree passes the same checks as a built one.
+        """
+        root_id = payload["root"]
+        tree = cls(items_by_rule.get(root_id, ()), payload.get("config", {}))
+        if root_id != tree.root_id:
+            raise VocabularyError(f"bad root id {root_id!r}")
+        raw_nodes = payload["nodes"]
+        tree.root.status = raw_nodes[root_id].get("status", STATUS_ACTIVE)
+        for rid in sorted((rid for rid in raw_nodes if rid != root_id),
+                          key=lambda rid: (raw_nodes[rid]["depth"], rid)):
+            raw = raw_nodes[rid]
+            tree.add_child(raw["parent"], DescriptorNode(
                 rule_id=rid, name=raw["name"], description=raw["description"],
                 parent=raw["parent"], depth=raw["depth"],
                 items=set(items_by_rule.get(rid, ())),
-                status=raw.get("status", STATUS_ACTIVE))
-            tree.children.setdefault(rid, [])
-        for rid, node in tree.nodes.items():
-            if node.parent is not None:
-                tree.children.setdefault(node.parent, []).append(rid)
-        for rid in tree.children:
-            tree.children[rid].sort()
+                status=raw.get("status", STATUS_ACTIVE)))
         return tree
 
     def save(self, tree_path: str | Path,

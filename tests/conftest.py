@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -67,6 +70,18 @@ class GarbageBackend:
         if self.hit(prompt):
             return self.REPLY
         return self.inner.generate(prompt)
+
+
+@contextmanager
+def held_flock(path):
+    """Hold an exclusive ``flock`` on ``path`` through an open file
+    description of its own, the way another writer holds a run's lock."""
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 def failing_items_gateway(world, down: str, garbled: str, **gateway_kwargs):

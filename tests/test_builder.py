@@ -12,7 +12,8 @@ from tagforge.builder import (BuildInterrupted, branch_items, build_vocabulary,
 from tagforge.gateway import AgentRole
 from tagforge.planted import make_world
 from tagforge.runs import read_json, read_jsonl
-from tagforge.vocab import STATUS_OUTLIERS_RECORDED, BuildConfig, log_from_json
+from tagforge.vocab import (STATUS_OUTLIERS_RECORDED, BuildConfig, VocabularyTree,
+                            log_from_json)
 
 from conftest import make_gateway
 
@@ -39,7 +40,9 @@ def test_planted_recovery_two_levels(small_world, provider):
     for leaf in tree.level_nodes(2):
         true_leaves = {small_world.true_path[i][-1] for i in leaf.items}
         assert true_leaves == {leaf.name}
-    tree.validate()
+    # Loading re-adds every node through add_child's checks.
+    items = {rid: node.items for rid, node in tree.nodes.items()}
+    assert set(VocabularyTree.from_json(tree.to_json(), items).nodes) == set(tree.nodes)
 
 
 def test_no_children_below_split_threshold(provider):

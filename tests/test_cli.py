@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from tagforge.corpus import (last_out_split, load_corpus, load_interactions,
 from tagforge.decoding import SurrogateModel
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
-from conftest import FaultBackend
+from conftest import FaultBackend, held_flock
 
 
 PIPELINE = ("ingest", "build-vocab", "assign", "encode", "fit", "recommend",
@@ -608,9 +609,9 @@ def test_baseline_freeform_writes_only_the_tag_table_and_its_summary(tmp_path):
     run_dir = tmp_path / "run"
     written = {path.relative_to(run_dir).as_posix()
                for path in run_dir.rglob("*") if path.is_file()}
-    # Beside the run's own config, manifest, ledger and transcript.
+    # Beside the run's own config, manifest, ledger, transcript and lock.
     assert written == {"config.json", "manifest.json", "ledger.jsonl",
-                       "transcript.jsonl", "freeform_tags.jsonl",
+                       "transcript.jsonl", ".lock", "freeform_tags.jsonl",
                        "reports/freeform.json"}
     summary = read_json(run_dir / "reports/freeform.json")
     assert set(summary) == {"n_items", "n_distinct_tags", "utilization",
@@ -645,13 +646,9 @@ def test_locked_run_keeps_config_snapshot(workspace, tmp_path, capsys):
     other = json.loads(config_path.read_text()) | {"beam_width": 5}
     other_path = tmp_path / "other.json"
     other_path.write_text(json.dumps(other))
-    lock = root / "run" / ".lock"
-    lock.write_text(str(os.getpid()))
-    try:
+    with held_flock(root / "run" / ".lock"):
         assert run(other_path, "evaluate") == 4
         assert capsys.readouterr().err.startswith("ERR:locked:")
-    finally:
-        lock.unlink()
     assert (root / "run" / "config.json").read_bytes() == snapshot
 
 
@@ -681,29 +678,44 @@ def test_full_rank_cutoff_above_beam_width_is_config_error(workspace, tmp_path,
 
 def test_lock_file_blocks_second_writer(workspace, capsys):
     root, config_path, _ = workspace
-    lock = root / "run" / ".lock"
-    lock.write_text(str(os.getpid()))
-    try:
+    with held_flock(root / "run" / ".lock"):
         code = run(config_path, "report")
         captured = capsys.readouterr()
-        assert code == 4
-        assert captured.err.startswith("ERR:locked:")
-    finally:
-        lock.unlink()
+    assert code == 4
+    assert captured.err.startswith("ERR:locked:")
 
 
-def test_stale_lock_is_taken_over(workspace, capsys):
+def test_a_writer_killed_with_sigkill_leaves_no_lock(workspace, capsys):
     root, config_path, _ = workspace
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
+    holder = ("import sys, time\n"
+              "from tagforge.runs import RunLock, RunPaths\n"
+              "with RunLock(RunPaths(sys.argv[1])):\n"
+              "    print('locked', flush=True)\n"
+              "    time.sleep(60)\n")
+    child = subprocess.Popen([sys.executable, "-c", holder, str(root / "run")],
+                             stdout=subprocess.PIPE, text=True, env=_src_env())
+    try:
+        assert child.stdout.readline() == "locked\n"
+        assert run(config_path, "report") == 4
+        capsys.readouterr()
+    finally:
+        child.kill()
+        child.wait(timeout=10)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert run(config_path, "report") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_lock_file_naming_a_live_pid_does_not_block(workspace, capsys):
+    """The lock is the kernel's, not the file's content: a leftover file
+    naming a running process (a recycled PID) blocks nobody."""
+    root, config_path, _ = workspace
     lock = root / "run" / ".lock"
-    lock.write_text(str(child.pid))
-    code = run(config_path, "report")
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err.startswith("WARN:stale-lock:")
-    assert f"pid {child.pid} is not running" in captured.err
-    assert not lock.exists()
+    lock.write_text(str(os.getpid()))
+    assert run(config_path, "report") == 0
+    assert capsys.readouterr().err == ""
+    assert lock.exists()
 
 
 # A sample value per flag; --run-dir's is set per test.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -479,3 +480,36 @@ def test_simulate_user_llm_refusal_falls_back(decode_setup):
     assert simulate_user(item_id, world.corpus, table, tree, mode="llm",
                          gateway=gateway) == oracle
     assert gateway.ledger.calls() == 0
+
+
+def test_simulate_user_offers_only_sections_that_hold_an_item(decode_setup):
+    """A level-1 descriptor no item's semantic ID starts with is neither
+    offered nor accepted: the decoder allows no such token."""
+    world, tree, records, _, split, _, _ = decode_setup
+    tree = VocabularyTree.from_json(
+        tree.to_json(), {rid: node.items for rid, node in tree.nodes.items()})
+    empty = DescriptorNode(rule_id=tree.fresh_rule_id(tree.root_id, "Empty"),
+                           name="Empty", description="Empty: INCLUDES: nothing.",
+                           parent=tree.root_id, depth=1)
+    tree.add_child(tree.root_id, empty)
+    table = export_semids(records, tree)
+    trie = build_trie(table)
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    names = [node.name for node in tree.children_of(tree.root_id)]
+    prompts = []
+
+    class SelectsEverySection:
+        def generate(self, prompt):
+            prompts.append(prompt)
+            return json.dumps({"selected": names})
+
+    backend = SelectsEverySection()
+    gateway = Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend})
+    user_id = sorted(split.test)[0]
+    allowed = simulate_user(split.test[user_id], world.corpus, table, tree,
+                            mode="llm", gateway=gateway)
+    assert table.token_of[empty.rule_id] not in allowed
+    assert allowed == trie.level1_tokens()
+    assert "Empty" not in prompts[0]
+    history = encode_history(table, split.train[user_id], model.order)
+    assert beam_decode(model, history, trie, beam_width=5, allowed_level1=allowed)

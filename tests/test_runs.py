@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagforge.runs import decode_line, inputs_hash, read_jsonl, write_jsonl
+from tagforge.runs import (RunDirError, RunLock, RunPaths, decode_line,
+                           inputs_hash, read_jsonl, write_jsonl)
 
 
 def test_jsonl_round_trip_skips_blank_lines(tmp_path):
@@ -26,6 +31,56 @@ def test_failed_write_keeps_previous_file(tmp_path):
         write_jsonl(path, [{"n": 3}, {"n": object()}])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+RACE_WORKERS = 4
+RACE_ROUNDS = 20
+RACE_HOLD_S = 0.01
+
+
+def _race_for_the_lock(root, dead_pid, barrier, holds) -> None:
+    """Each round, rewrite a leftover ``.lock`` naming ``dead_pid``, release
+    every worker at once to take the lock, and record the (start, end) of
+    each hold won; the holds go to ``holds`` as one list."""
+    paths = RunPaths(root)
+    mine = []
+    for _ in range(RACE_ROUNDS):
+        if barrier.wait(timeout=30) == 0:
+            paths.lock.write_text(str(dead_pid))
+        barrier.wait(timeout=30)
+        try:
+            with RunLock(paths):
+                start = time.monotonic()
+                time.sleep(RACE_HOLD_S)
+                mine.append((start, time.monotonic()))
+        except RunDirError:
+            pass
+        barrier.wait(timeout=30)
+    holds.put(mine)
+
+
+def test_writers_released_together_never_hold_the_lock_at_once(tmp_path):
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait(timeout=30)
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(RACE_WORKERS)
+    holds = ctx.Queue()
+    workers = [ctx.Process(target=_race_for_the_lock,
+                           args=(tmp_path, dead.pid, barrier, holds))
+               for _ in range(RACE_WORKERS)]
+    for worker in workers:
+        worker.start()
+    try:
+        intervals = sorted(hold for _ in workers for hold in holds.get(timeout=60))
+    finally:
+        for worker in workers:
+            worker.join(timeout=30)
+            worker.kill()
+    assert [worker.exitcode for worker in workers] == [0] * RACE_WORKERS
+    # Every round has a winner, and no hold starts before the last one ended.
+    assert len(intervals) >= RACE_ROUNDS
+    overlaps = [(a, b) for a, b in zip(intervals, intervals[1:]) if b[0] < a[1]]
+    assert overlaps == []
 
 
 def test_inputs_hash_streams_files_to_the_same_digest(tmp_path):

@@ -39,7 +39,8 @@ def test_add_child_enforces_subset_and_depth():
         tree.add_child(rid, DescriptorNode(
             rule_id=tree.fresh_rule_id(rid, "grand2"), name="grand2",
             description="d", parent=rid, depth=3, items={"a"}))
-    tree.validate()
+    assert set(tree.nodes) == {tree.root_id, rid}
+    assert tree.children == {tree.root_id: [rid], rid: []}
 
 
 def test_fresh_rule_id_salts_on_collision():
@@ -71,7 +72,45 @@ def test_tree_save_load_round_trip(tmp_path):
     assert json.dumps(loaded.to_json(), sort_keys=True) == \
         json.dumps(tree.to_json(), sort_keys=True)
     assert loaded.nodes[rid].items == {"a", "b"}
-    loaded.validate()
+    assert loaded.children == tree.children
+
+
+def _two_level_payload():
+    """A root, a child holding a and b, and a grandchild holding a, as
+    (tree JSON, items per rule, grandchild id)."""
+    tree = _tree()
+    kid = tree.fresh_rule_id(tree.root_id, "kid")
+    tree.add_child(tree.root_id, DescriptorNode(
+        rule_id=kid, name="kid", description="d", parent=tree.root_id,
+        depth=1, items={"a", "b"}))
+    grand = tree.fresh_rule_id(kid, "grand")
+    tree.add_child(kid, DescriptorNode(
+        rule_id=grand, name="grand", description="d", parent=kid, depth=2,
+        items={"a"}))
+    items = {rid: sorted(node.items) for rid, node in tree.nodes.items()}
+    return tree.to_json(), items, grand
+
+
+@pytest.mark.parametrize("case, message", [
+    ("items-exceed-parent", "subset"),
+    ("wrong-depth", "depth"),
+    ("missing-parent", "is not in the tree"),
+    ("second-root", "parent None is not in the tree"),
+])
+def test_from_json_rejects_what_add_child_rejects(case, message):
+    payload, items, grand = _two_level_payload()
+    nodes = payload["nodes"]
+    assert set(VocabularyTree.from_json(payload, items).nodes) == set(items)
+    if case == "items-exceed-parent":
+        items[grand] = ["a", "c"]
+    elif case == "wrong-depth":
+        nodes[grand]["depth"] = 3
+    elif case == "missing-parent":
+        nodes[grand]["parent"] = make_rule_id("gone")
+    else:
+        nodes[make_rule_id("other root")] = nodes[payload["root"]] | {"name": "other"}
+    with pytest.raises(VocabularyError, match=message):
+        VocabularyTree.from_json(payload, items)
 
 
 def test_build_config_validation():
