@@ -315,8 +315,7 @@ def _require(path: Path, stage: str) -> Path:
 
 
 def _load_tree(paths: RunPaths) -> VocabularyTree:
-    items = paths.vocab_items if paths.vocab_items.exists() else None
-    return VocabularyTree.load(_require(paths.vocab, "build-vocab"), items)
+    return VocabularyTree.load(_require(paths.vocab, "build-vocab"))
 
 
 def _decode_inputs(paths: RunPaths) -> tuple:
@@ -370,7 +369,7 @@ def _ingest_inputs(run: StageRun) -> tuple:
 def _ingest(run: StageRun) -> str:
     cfg, paths = run.cfg, run.paths
     report = IngestReport()
-    corpus = load_corpus(cfg.corpus_path, lenient=not cfg.strict_ingest,
+    corpus = load_corpus(cfg.corpus_path, strict=cfg.strict_ingest,
                          report=report)
     write_corpus(corpus, paths.corpus)
     summary = {"n_items": len(corpus), "malformed_lines": report.malformed_lines}
@@ -392,9 +391,8 @@ def _ingest(run: StageRun) -> str:
 @_stage("build-vocab",
         lambda run: (_corpus_source(run), run.cfg.build_config.to_json(),
                      *_backend_parts(run.cfg), run.cfg.embed_dim),
-        lambda run: [run.paths.vocab, run.paths.vocab_items,
-                     run.paths.annotations, run.paths.refinement_logs,
-                     run.paths.build_report])
+        lambda run: [run.paths.vocab, run.paths.annotations,
+                     run.paths.refinement_logs, run.paths.build_report])
 def _build_vocab(run: StageRun) -> str:
     """Continues the checkpoint when it was written for this stage digest
     and ``--force`` is not given; otherwise builds from the root."""
@@ -413,7 +411,7 @@ def _build_vocab(run: StageRun) -> str:
                              HashingProvider(dim=cfg.embed_dim),
                              checkpoint_path=paths.checkpoint,
                              resume_state=resume_state, inputs_hash=run.inputs_hash)
-    state.tree.save(paths.vocab, paths.vocab_items)
+    state.tree.save(paths.vocab)
     write_jsonl(paths.annotations,
                 ({"rule_id": rule_id, "matched": matched}
                  for rule_id, matched in sorted(state.annotations.items())),

@@ -25,7 +25,7 @@ class CorpusError(ValueError):
 
 @dataclass
 class IngestReport:
-    """Mutable counters filled by the lenient loaders."""
+    """Mutable counters the loaders fill outside strict mode."""
 
     malformed_lines: int = 0
     unknown_items: int = 0
@@ -98,13 +98,13 @@ class SplitDataset:
     test: dict[str, str]
 
 
-def load_corpus(path: str | Path, lenient: bool = False,
+def load_corpus(path: str | Path, strict: bool = True,
                 report: IngestReport | None = None) -> Corpus:
     """Read one JSON object per line into a Corpus.
 
     Strict mode (default) raises on the first malformed line or duplicate
-    item_id, naming the line number. Lenient mode skips malformed lines and
-    counts them in ``report``; duplicate ids are an error in both modes.
+    item_id, naming the line number. Otherwise malformed lines are skipped
+    and counted in ``report``; duplicate ids are an error in both modes.
     """
     path = Path(path)
     items: list[Item] = []
@@ -123,7 +123,7 @@ def load_corpus(path: str | Path, lenient: bool = False,
                     extras={str(k): str(v) for k, v in raw.get("extras", {}).items()},
                 )
             except (json.JSONDecodeError, KeyError, TypeError, AttributeError, CorpusError) as exc:
-                if lenient:
+                if not strict:
                     if report is not None:
                         report.malformed_lines += 1
                     continue

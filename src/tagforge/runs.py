@@ -51,8 +51,6 @@ class RunPaths:
     @property
     def vocab(self) -> Path: return self.root / "vocab.json"
     @property
-    def vocab_items(self) -> Path: return self.root / "vocab_items.jsonl"
-    @property
     def annotations(self) -> Path: return self.root / "annotations.jsonl"
     @property
     def checkpoint(self) -> Path: return self.root / "vocab.checkpoint.json"

@@ -2,8 +2,9 @@
 build's configuration and its per-node refinement logs.
 
 The tree roots at a pseudo-node holding the whole corpus at depth 0; every
-real descriptor hangs below it. The tree JSON keeps only counts; per-node
-item sets are persisted separately as JSONL so the tree file stays small.
+real descriptor hangs below it. The tree JSON keeps each node's structure and
+item count, not its item set: placing items is the assignment stage's job,
+and only the build checkpoint keeps item sets, for resume.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Container, Iterable, Mapping
 
-from .runs import read_json, read_jsonl, write_json, write_jsonl
+from .runs import read_json, write_json, write_jsonl
 
 ROOT_NAME = "ROOT"
 ROOT_DESCRIPTION = "ROOT: INCLUDES: every item in the corpus. EXCLUDES: nothing."
@@ -150,6 +151,9 @@ class VocabularyTree:
 
     def save(self, tree_path: str | Path,
              items_path: str | Path | None = None) -> None:
+        """Write the tree JSON to ``tree_path``. With ``items_path``, also
+        write each node's item set there as JSONL; no stage passes it or
+        reads that file."""
         write_json(tree_path, self.to_json(), indent=2, sort_keys=True)
         if items_path is not None:
             write_jsonl(items_path, ({"rule_id": rid,
@@ -157,12 +161,10 @@ class VocabularyTree:
                                      for rid in sorted(self.nodes)))
 
     @classmethod
-    def load(cls, tree_path: str | Path,
-             items_path: str | Path | None = None) -> "VocabularyTree":
-        items_by_rule = ({} if items_path is None else
-                         {row["rule_id"]: row["item_ids"]
-                          for row in read_jsonl(items_path)})
-        return cls.from_json(read_json(tree_path), items_by_rule)
+    def load(cls, tree_path: str | Path) -> "VocabularyTree":
+        """The tree saved at ``tree_path``: structure only, so every node's
+        ``items`` is empty."""
+        return cls.from_json(read_json(tree_path), {})
 
 
 @dataclass

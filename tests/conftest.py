@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,17 @@ def held_flock(path):
         yield
     finally:
         os.close(fd)
+
+
+def load_perfbench(name: str):
+    """The benchmark module ``perfbench/<name>.py``, which is not a package,
+    loaded from its file under the name ``perfbench_<name>``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def failing_items_gateway(world, down: str, garbled: str, **gateway_kwargs):

@@ -70,16 +70,45 @@ def test_full_pipeline_exit_codes_and_artifacts(workspace):
     root, _, _ = workspace
     run_dir = root / "run"
     for name in ("corpus.jsonl", "splits.jsonl", "vocab.json",
-                 "vocab_items.jsonl", "refinement_logs.jsonl",
-                 "build_report.json", "assignments.jsonl", "semids.jsonl",
-                 "token_map.json", "model.bin", "ledger.jsonl", "config.json",
-                 "manifest.json"):
+                 "refinement_logs.jsonl", "build_report.json",
+                 "assignments.jsonl", "semids.jsonl", "token_map.json",
+                 "model.bin", "ledger.jsonl", "config.json", "manifest.json"):
         assert (run_dir / name).exists(), name
-    assert not (run_dir / "fixed_slots.csv").exists()
+    for name in ("fixed_slots.csv", "vocab_items.jsonl"):
+        assert not (run_dir / name).exists(), name
     for name in ("ingest.json", "vocab_stats.json", "eval_sampled.json",
                  "critique_eval.json", "freeform.json", "summary.json",
                  "coverage_deltas.csv", "recommendations.jsonl"):
         assert (run_dir / "reports" / name).exists(), name
+
+
+def test_readme_lists_the_run_directory(workspace):
+    root, _, _ = workspace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("### Run directory\n\n```\n", 1)[1].split("```", 1)[0]
+    names = {line.split()[0].rstrip("/") for line in listing.splitlines()}
+    assert {name for name in names if "/" not in name} == \
+        {path.name for path in (root / "run").iterdir()}
+
+
+def test_no_stage_reads_a_leftover_item_file(workspace, tmp_path):
+    """Run directories of earlier versions keep ``vocab_items.jsonl``, and
+    their ``build-vocab`` stays current: the stages after it must not read
+    that file."""
+    root, config_path, _ = workspace
+    run_dir = tmp_path / "run"
+    shutil.copytree(root / "run", run_dir)
+    config = {**read_json(config_path), "run_dir": str(run_dir)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    (run_dir / "vocab_items.jsonl").write_text("not json\n")
+    outputs = {"assign": ["assignments.jsonl"],
+               "encode": ["semids.jsonl", "token_map.json", "reports/vocab_stats.json"],
+               "critique-eval": ["reports/critique_eval.json"]}
+    for stage, names in outputs.items():
+        before = {name: (run_dir / name).read_bytes() for name in names}
+        assert run(config_path, stage, "--force") == 0, stage
+        assert {name: (run_dir / name).read_bytes() for name in names} == before
 
 
 def test_critique_report_contains_both_arms(workspace):
@@ -248,7 +277,7 @@ def test_build_vocab_continues_its_own_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["build-vocab", "--config", str(split)]) == 0
     assert capsys.readouterr().out.startswith("resuming: ")
-    for name in ("vocab.json", "vocab_items.jsonl", "annotations.jsonl"):
+    for name in ("vocab.json", "annotations.jsonl"):
         assert ((tmp_path / "split/run" / name).read_bytes()
                 == (tmp_path / "whole/run" / name).read_bytes()), name
     # Finished nodes are not asked again: the second run issues fewer calls
@@ -273,15 +302,15 @@ sys.exit(cli.dispatch(sys.argv[1:]))
 """
 
 
-# Runs a stage and dies without any clean-up right after vocab_items.jsonl
-# lands, before the stage's other outputs and its manifest entry.
-_KILLED_AFTER_VOCAB_ITEMS = """
+# Runs a stage and dies without any clean-up right after vocab.json lands,
+# before the stage's other outputs and its manifest entry.
+_KILLED_AFTER_VOCAB = """
 import os, sys
 from tagforge import cli
 replace = os.replace
 def replace_then_die(src, dst):
     replace(src, dst)
-    if os.path.basename(dst) == "vocab_items.jsonl":
+    if os.path.basename(dst) == "vocab.json":
         os._exit(9)
 os.replace = replace_then_die
 sys.exit(cli.dispatch(sys.argv[1:]))
@@ -311,12 +340,12 @@ def test_ledger_counts_every_call_after_a_hard_kill(tmp_path):
 
 
 def test_a_stopped_rerun_leaves_no_current_entry(tmp_path, capsys):
-    """A re-run at depth 1, killed after vocab_items.jsonl lands, must not
+    """A re-run at depth 1, killed after vocab.json lands, must not
     leave the depth-3 run's manifest entry over its depth-1 vocab.json."""
     world = make_world(branching=(2, 2, 2), n_items=260, seed=7)
     config_path = _mock_config(tmp_path, world, build={"d_max": 3, "tau_split": 20})
     assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
-    _dispatch_killed(_KILLED_AFTER_VOCAB_ITEMS,
+    _dispatch_killed(_KILLED_AFTER_VOCAB,
                      "build-vocab", "--config", str(config_path), "--depth", "1")
     capsys.readouterr()
     assert dispatch(["build-vocab", "--config", str(config_path)]) == 0
@@ -356,7 +385,7 @@ def test_build_vocab_starts_over(tmp_path, capsys, argv):
     capsys.readouterr()
     assert dispatch([*argv, "--config", str(split)]) == 0
     assert "resuming" not in capsys.readouterr().out
-    for name in ("vocab.json", "vocab_items.jsonl", "annotations.jsonl"):
+    for name in ("vocab.json", "annotations.jsonl"):
         assert ((tmp_path / "split/run" / name).read_bytes()
                 == (tmp_path / "fresh/run" / name).read_bytes()), name
     d_max = 1 if "--depth" in argv else 2
@@ -404,7 +433,7 @@ def test_assign_without_annotations_asks_every_level(tmp_path, small_build):
     config_path = _mock_config(tmp_path, world)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    state.tree.save(run_dir / "vocab.json")
     assert dispatch(["assign", "--config", str(config_path)]) == 0
     assert _assign_calls(run_dir) == len(world.corpus) * state.tree.max_depth()
     assert len(list(read_jsonl(run_dir / "transcript.jsonl"))) == \
@@ -417,7 +446,7 @@ def test_assign_flags_a_refused_item_and_exits_0(tmp_path, monkeypatch,
     config_path = _mock_config(tmp_path, world, parallelism=2)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    state.tree.save(run_dir / "vocab.json")
     refused = world.corpus.item_ids[3]
     monkeypatch.setattr(mockllm, "MockLLMBackend", lambda *args, **kwargs: FaultBackend(
         MockLLMBackend(*args, **kwargs), f"[{refused}]", BackendRefusalError))
@@ -434,7 +463,7 @@ def test_budget_exit_keeps_ledger_and_leaves_stage_unmarked(
     config_path = _mock_config(tmp_path, world, parallelism=4)
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    state.tree.save(run_dir / "vocab.json")
 
     code = dispatch([stage, "--config", str(config_path),
                      "--budget-max-calls", "20"])
@@ -509,7 +538,7 @@ def test_parallelism_below_one_is_config_error(tmp_path, capsys, small_build,
                                **({"parallelism": 0} if source == "config" else {}))
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    state.tree.save(run_dir / "vocab.json", run_dir / "vocab_items.jsonl")
+    state.tree.save(run_dir / "vocab.json")
     flag = ["--parallelism", "-2"] if source == "flag" else []
     assert dispatch([stage, "--config", str(config_path), *flag]) == 2
     err = capsys.readouterr().err

@@ -49,7 +49,7 @@ def test_load_corpus_lenient_counts_malformed(tmp_path):
     path.write_text('{"item_id": "a", "title": "t"}\nnot json\n'
                     '{"title": "missing id"}\n{"item_id": "b", "body": "y"}\n')
     report = IngestReport()
-    corpus = load_corpus(path, lenient=True, report=report)
+    corpus = load_corpus(path, strict=False, report=report)
     assert len(corpus) == 2
     assert report.malformed_lines == 2
     with pytest.raises(CorpusError):
@@ -64,7 +64,7 @@ def test_load_corpus_rejects_data_after_the_value(tmp_path, tail):
     with pytest.raises(CorpusError, match=r"items\.jsonl:2: Extra data"):
         load_corpus(path)
     report = IngestReport()
-    assert load_corpus(path, lenient=True, report=report).item_ids == ["a"]
+    assert load_corpus(path, strict=False, report=report).item_ids == ["a"]
     assert report.malformed_lines == 1
 
 

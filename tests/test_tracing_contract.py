@@ -9,30 +9,16 @@ rename of any of them fails this test too."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from tagforge import assignment, freeform, refinement
 from tagforge.mockllm import category_description
 from tagforge.planted import make_world
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
-from conftest import make_gateway
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench, make_gateway
 
 
 def test_every_batch_call_is_traced_under_its_batch():
-    tracing = _load_tracing()
+    tracing = load_perfbench("tracing")
     world = make_world(branching=(3,), n_items=60, seed=5)
     tree = VocabularyTree(root_items=set(world.corpus.item_ids))
     for name in world.taxonomy.level1:
