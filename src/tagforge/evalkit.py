@@ -7,6 +7,7 @@ negatives by model score; full-rank mode decodes over the trie.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import random
@@ -62,6 +63,24 @@ class MetricReport:
         }
 
 
+def sample_negatives(rng: random.Random, all_ids: list[str],
+                     skipped: list[int], n: int) -> list[str]:
+    """``rng.sample`` of ``min(n, size)`` ids from ``all_ids`` without the
+    sorted positions ``skipped``, drawn without building that pool.
+
+    ``random.Random.sample``'s draws depend only on the population's length
+    and the sample size, so it samples positions in the pool, and each
+    position maps onto ``all_ids`` past the skipped ones before it: the same
+    ids, in the same order, as sampling the pool itself.
+    """
+    size = len(all_ids) - len(skipped)
+    # A pool position p lands at p + j, j the number of skipped positions
+    # s_i with s_i - i <= p.
+    shifted = [s - i for i, s in enumerate(skipped)]
+    return [all_ids[p + bisect.bisect_right(shifted, p)]
+            for p in rng.sample(range(size), min(n, size))]
+
+
 def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
                  split: SplitDataset, table: SemidTable, mode: str = "full",
                  ks: tuple[int, ...] = (5, 10, 20), seed: int = 0,
@@ -84,6 +103,7 @@ def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
                         "full-rank lists hold at most beam_width items")
     known = {row.item_id for row in table.rows}
     all_ids = sorted(known)
+    position = {item_id: i for i, item_id in enumerate(all_ids)}
     sums = {k: [0.0, 0.0] for k in ks}
     n_users = 0
     n_skipped = 0
@@ -102,9 +122,8 @@ def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
         else:
             rng = random.Random(f"{seed}:{user_id}")
             exclude = set(history) | {target}
-            pool = [i for i in all_ids if i not in exclude]
-            n_sample = min(n_negatives, len(pool))
-            negatives = rng.sample(pool, n_sample)
+            negatives = sample_negatives(rng, all_ids, sorted(
+                position[i] for i in exclude), n_negatives)
             scored = []
             for item_id in [target] + negatives:
                 tokens = list(table.row_of(item_id).tokens)

@@ -4,6 +4,7 @@ package against; the pipeline itself never calls them."""
 from __future__ import annotations
 
 import json
+import random
 import re
 from itertools import combinations
 from unittest import mock
@@ -122,6 +123,7 @@ def reference_observe_stream(model: SurrogateModel, tokens: list[int]) -> None:
     ``SurrogateModel.observe_streams``."""
     model._logprob_rows.clear()
     model._expansions.clear()
+    model._rankings.clear()
     m = model.order
     for i in range(m - 1, len(tokens)):
         ctx = tuple(tokens[i - m + 1:i])
@@ -144,6 +146,15 @@ def enumerate_rank(model: SurrogateModel, history: tuple[int, ...],
                        model.score_sequence(history, list(row.tokens))))
     scored.sort(key=lambda f: (-f[1], f[0]))
     return scored
+
+
+def reference_sample_negatives(rng: random.Random, all_ids: list[str],
+                               exclude: set[str], n: int) -> list[str]:
+    """``rng.sample`` of up to ``n`` ids from a copy of ``all_ids`` without
+    ``exclude``, built per user; the oracle for
+    ``evalkit.sample_negatives``."""
+    pool = [i for i in all_ids if i not in exclude]
+    return rng.sample(pool, min(n, len(pool)))
 
 
 def reference_beam_decode(model: SurrogateModel, history: tuple[int, ...],

@@ -22,10 +22,12 @@ from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import (last_out_split, load_corpus, load_interactions,
                              read_splits, write_corpus, write_interactions,
                              write_splits)
-from tagforge.decoding import SurrogateModel
+from tagforge.assignment import SemidTable
+from tagforge.decoding import SurrogateModel, build_trie, encode_history
 from tagforge.runs import RunPaths, inputs_hash, read_json, read_jsonl
 
-from conftest import FaultBackend, held_flock
+from conftest import FaultBackend, held_flock, load_perfbench
+from oracles import reference_beam_decode
 
 
 PIPELINE = ("ingest", "build-vocab", "assign", "encode", "fit", "recommend",
@@ -118,6 +120,30 @@ def test_critique_report_contains_both_arms(workspace):
     assert set(payload["vanilla"]["ndcg"]) == set(payload["constrained"]["ndcg"])
     for k, vanilla in payload["vanilla"]["ndcg"].items():
         assert payload["constrained"]["ndcg"][k] >= vanilla
+
+
+def test_benchmark_serving_ranks_as_the_reference_decoder(workspace):
+    """The benchmark's ``serve`` operation (``perfbench/worker.py``) calls
+    ``beam_decode`` itself: over two passes on the finished run, every
+    request it serves is the reference decoder's ranking."""
+    root, _, _ = workspace
+    paths = RunPaths(root / "run")
+    served = load_perfbench("worker").serve(str(paths.root), beam_width=20,
+                                            passes=2)["requests"]
+    split = read_splits(paths.splits)
+    table = SemidTable.load(paths.semids, paths.token_map)
+    model = SurrogateModel.load(paths.model)
+    trie = build_trie(table)
+    known = {row.item_id for row in table.rows}
+    assert [r["user_id"] for r in served] == sorted(split.test) * 2
+    for request in served:
+        history = [i for i in split.train[request["user_id"]] if i in known]
+        ranked = reference_beam_decode(
+            model, encode_history(table, history, model.order), trie, 20)
+        assert request["plain"]["items"] == [i for i, _ in ranked]
+        assert request["plain"]["scores"] == [s for _, s in ranked]
+    half = len(served) // 2
+    assert [r["plain"] for r in served[:half]] == [r["plain"] for r in served[half:]]
 
 
 @pytest.fixture(scope="module")

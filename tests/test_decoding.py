@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -348,6 +350,15 @@ def _assert_matches_reference(model, trie, requests):
             reference_beam_decode(model, history, trie, width, allowed)
 
 
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every ``SurrogateModel.<name>`` call."""
+    calls = []
+    method = getattr(SurrogateModel, name)
+    monkeypatch.setattr(SurrogateModel, name,
+                        lambda self, *args: calls.append(args) or method(self, *args))
+    return calls
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
@@ -356,15 +367,76 @@ def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
     requests = _decode_requests(table, split, trie, order)
     _assert_matches_reference(model, trie, requests)
     # On a warm table the decoder asks the scorer nothing.
-    calls = []
-    logprob = SurrogateModel.logprob
-    monkeypatch.setattr(SurrogateModel, "logprob",
-                        lambda self, *args: calls.append(args) or logprob(self, *args))
+    calls = _count_calls(monkeypatch, "logprob")
     for history, width, allowed in requests:
         beam_decode(model, history, trie, width, allowed)
     assert calls == []
     monkeypatch.undo()
     _assert_matches_reference(model, trie, requests)
+    # A longer history with the same context tail is answered from the
+    # ranking table, without a search.
+    keep = order - 1
+    expected = [reference_beam_decode(model, history, trie, width, allowed)
+                for history, width, allowed in requests]
+    calls = _count_calls(monkeypatch, "expansions")
+    for (history, width, allowed), ranked in zip(requests, expected):
+        tail = history[-keep:] if keep else ()
+        other = history[:1] + history + tail
+        assert beam_decode(model, other, trie, width, allowed) == ranked
+    assert calls == []
+
+
+def test_threads_decoding_on_one_model_get_the_reference(decode_setup):
+    """Threads that miss on one key at once both search and store equal
+    rankings; every thread sees the reference's."""
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    requests = _decode_requests(table, split, trie, 3, n_users=4)
+    expected = [reference_beam_decode(model, history, trie, width, allowed)
+                for history, width, allowed in requests]
+    results = []
+
+    def decode_all():
+        results.append([beam_decode(model, history, trie, width, allowed)
+                        for history, width, allowed in requests])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode_all) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
+
+
+def test_a_returned_ranking_is_the_callers_own(decode_setup):
+    _, _, _, table, split, model, trie = decode_setup
+    history = encode_history(table, split.train[sorted(split.test)[0]],
+                             model.order)
+    ranked = beam_decode(model, history, trie, 20)
+    expected = list(ranked)
+    ranked.reverse()
+    ranked.append(("intruder", 0.0))
+    assert beam_decode(model, history, trie, 20) == expected
+    assert expected == reference_beam_decode(model, history, trie, 20)
+
+
+def test_each_width_and_allowed_set_has_its_own_ranking(decode_setup):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    history = encode_history(table, split.train[sorted(split.test)[0]], 3)
+    a, b = sorted(trie.level1_tokens())[:2]
+    requests = [(history, width, allowed) for allowed in (None, {a}, {a, b})
+                for width in (5, 20)]
+    for _ in range(2):
+        for requested in (requests, requests[::-1]):
+            _assert_matches_reference(model, trie, requested)
+    assert len(model._rankings) == len(requests)
 
 
 def test_models_and_tries_share_nodes_safely(decode_setup):
@@ -377,6 +449,15 @@ def test_models_and_tries_share_nodes_safely(decode_setup):
         for model in models:
             for each in (trie, half):
                 _assert_matches_reference(model, each, requests)
+    # Two tries on one model never serve each other's rankings.
+    in_half = {table.rows[i].item_id for i in range(0, len(table.rows), 2)}
+    for model in models:
+        for history, width, allowed in requests:
+            assert {i for i, _ in beam_decode(model, history, half, width,
+                                              allowed)} <= in_half
+        assert any(beam_decode(model, history, half, width, allowed)
+                   != beam_decode(model, history, trie, width, allowed)
+                   for history, width, allowed in requests)
 
 
 def test_observing_a_stream_drops_the_expansion_table(decode_setup):
@@ -398,6 +479,10 @@ def test_beam_rejects_bad_arguments(decode_setup):
     _, _, _, table, split, model, trie = decode_setup
     history = encode_history(table, split.train[sorted(split.test)[0]],
                              model.order)
+    # A warm ranking table answers no bad request.
+    for level1 in trie.level1_tokens():
+        beam_decode(model, history, trie, beam_width=5, allowed_level1={level1})
+    beam_decode(model, history, trie, beam_width=5)
     with pytest.raises(DecodingError):
         beam_decode(model, history, trie, beam_width=0)
     with pytest.raises(DecodingError):

@@ -7,14 +7,16 @@ import statistics
 
 import pytest
 
+from tagforge import evalkit
 from tagforge.corpus import SplitDataset, last_out_split
 from tagforge.decoding import build_trie, encode_history, fit_surrogate
 from tagforge.evalkit import (EvalError, coverage_deltas, evaluate_run,
-                              ndcg_at_k, recall_at_k, write_coverage_csv)
+                              ndcg_at_k, recall_at_k, sample_negatives,
+                              write_coverage_csv)
 from tagforge.planted import make_interactions
 from tagforge.vocab import CycleRecord, RefinementLog
 
-from oracles import enumerate_rank
+from oracles import enumerate_rank, reference_sample_negatives
 
 
 def test_target_at_rank_one():
@@ -139,6 +141,42 @@ def test_sampled_mode_deterministic_under_seed(small_semids):
     b = evaluate_run(model, None, split, table, mode="sampled", seed=11,
                      n_negatives=50)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("size", [1, 3, 30, 150, 1200, 3000])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_sampled_negatives_equal_the_pool_copy(size, n):
+    """Pools on both sides of ``random.sample``'s set-size threshold, with
+    the first, the last and both end ids excluded, and pools smaller than
+    ``n``, down to an empty one."""
+    all_ids = [f"i{k:05d}" for k in range(size)]
+    position = {item_id: k for k, item_id in enumerate(all_ids)}
+    picker = random.Random(size * 1000 + n)
+    ends = [set(), {all_ids[0]}, {all_ids[-1]}, {all_ids[0], all_ids[-1]},
+            set(all_ids), set(all_ids[1:])]
+    for trial in range(40):
+        exclude = set(picker.sample(all_ids, picker.randint(0, min(size, 40))))
+        exclude |= ends[trial % len(ends)]
+        skipped = sorted(position[i] for i in exclude)
+        ours = sample_negatives(random.Random(trial), all_ids, skipped, n)
+        assert ours == reference_sample_negatives(random.Random(trial), all_ids,
+                                                  exclude, n)
+        assert len(ours) == min(n, size - len(exclude))
+
+
+def test_sampled_mode_equals_the_pool_copy(small_semids, monkeypatch):
+    world, _, _, table = small_semids
+    split = last_out_split(make_interactions(world, n_users=40, seed=2))
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    for n_negatives in (50, len(table.rows)):
+        args = (model, None, split, table)
+        kwargs = dict(mode="sampled", seed=11, n_negatives=n_negatives)
+        ours = evaluate_run(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(evalkit, "sample_negatives",
+                          lambda rng, all_ids, skipped, n: reference_sample_negatives(
+                              rng, all_ids, {all_ids[p] for p in skipped}, n))
+            assert evaluate_run(*args, **kwargs).to_json() == ours.to_json()
 
 
 def test_full_rank_equals_enumeration_metrics(small_semids):
