@@ -13,6 +13,11 @@ Beam search reads its step and EOS scores from a table on the model, one
 entry per (trie node, context tail), filled through
 ``SurrogateModel.logprob`` on first use. Every score is therefore the float
 ``logprob`` gives, and a count of ``logprob`` calls counts table misses.
+An entry lists a node's children best-first by step logprob, so the search
+stops scanning them at the first child that can no longer reach the top
+``beam_width`` (the threshold algorithm of Fagin, Lotem & Naor, PODS 2001);
+every pruning test compares exact scores strictly, so the ranking and its
+scores are those of the unpruned search.
 A request whose (trie, context tail, beam width, allowed level-1 set) was
 decoded before is answered from a second table on the model, which holds
 each finished ranking, so users who share a tail share one search.
@@ -24,6 +29,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,8 +88,14 @@ def build_trie(table: SemidTable) -> DescriptorTrie:
     return trie
 
 
-# (token, child, step logprob, child's context tail, EOS logprob or None)
-Expansion = tuple[int, TrieNode, float, tuple[int, ...], float | None]
+# A step into a non-terminal child: (step logprob, token, child, child's
+# context tail).
+Step = tuple[float, int, TrieNode, tuple[int, ...]]
+# A step into a terminal child: (step logprob, bound, EOS logprob, token,
+# item id), ``bound`` being the largest EOS logprob at or after it in its list.
+Finish = tuple[float, float, float, int, str]
+# Both lists best-first: step logprob descending, ties in token order.
+Expansion = tuple[list[Step], list[Finish]]
 
 
 def _log(p: float) -> float:
@@ -111,7 +123,7 @@ class SurrogateModel:
         self._logprob_rows: dict[tuple[int, ...],
                                  tuple[dict[int, float], float]] = {}
         self._expansions: dict[tuple[TrieNode, tuple[int, ...]],
-                               list[Expansion]] = {}
+                               Expansion] = {}
         # (trie root, context tail, beam width, allowed level-1 set or None)
         # -> finished ranking; filled by :func:`beam_decode`
         self._rankings: dict[tuple[TrieNode, tuple[int, ...], int,
@@ -171,32 +183,48 @@ class SurrogateModel:
         return seen.get(token, unseen)
 
     def expansions(self, node: TrieNode,
-                   context: tuple[int, ...]) -> list[Expansion]:
+                   context: tuple[int, ...]) -> Expansion:
         """Every step out of trie ``node`` after ``context``, the tail of at
-        most order-1 tokens that the model reads: one
-        ``(token, child, step logprob, child's context tail, EOS logprob or
-        None)`` per child in token order, the EOS logprob only for a
-        terminal child.
+        most order-1 tokens that the model reads, as two lists: one
+        ``(step logprob, token, child, child's context tail)`` per
+        non-terminal child, and one ``(step logprob, bound, EOS logprob,
+        token, item id)`` per terminal child. Each list is sorted by step
+        logprob, highest first and ties in token order, and a terminal's
+        ``bound`` is the largest EOS logprob at or after it in its list, so
+        no later terminal finishes above ``(score + step) + bound``.
 
         Filled on first use through :meth:`logprob`, so each number is the
         one it returns, and kept until the next :meth:`observe_streams`.
-        Since every history ends in the boundary token, below the first
-        level (order 3) a context tail is fixed by the trie path, and one
-        entry serves every request. Nodes key by identity, so several tries
-        can share a model; a trie must not change once decoded.
+        An entry is stored only once built, so threads sharing the model
+        never see a partial one. Since every history ends in the boundary
+        token, below the first level (order 3) a context tail is fixed by
+        the trie path, and one entry serves every request. Nodes key by
+        identity, so several tries can share a model; a trie must not
+        change once decoded.
         """
         key = (node, context)
         entry = self._expansions.get(key)
         if entry is None:
             keep = self.order - 1
-            entry = []
+            steps, ends = [], []
             for token, child in sorted(node.children.items()):
                 next_ctx = (context + (token,))[-keep:] if keep else ()
-                eos = (self.logprob(self.eos_token, next_ctx)
-                       if child.item_id is not None else None)
-                entry.append((token, child, self.logprob(token, context),
-                              next_ctx, eos))
-            self._expansions[key] = entry
+                step = self.logprob(token, context)
+                if child.item_id is None:
+                    steps.append((step, token, child, next_ctx))
+                else:
+                    ends.append((step, self.logprob(self.eos_token, next_ctx),
+                                 token, child.item_id))
+            # Python's sort is stable, reverse=True included.
+            steps.sort(key=itemgetter(0), reverse=True)
+            ends.sort(key=itemgetter(0), reverse=True)
+            finishes = []
+            bound = -math.inf
+            for step, eos, token, item_id in reversed(ends):
+                bound = max(bound, eos)
+                finishes.append((step, bound, eos, token, item_id))
+            finishes.reverse()
+            entry = self._expansions[key] = (steps, finishes)
         return entry
 
     def score_sequence(self, context: tuple[int, ...],
@@ -300,7 +328,16 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
 
     A hypothesis is expanded by walking ``model.expansions`` for its node
     and context tail, so each score is computed once per (node, tail), not
-    once per request.
+    once per request. The search keeps two min-heaps of exact scores: the
+    best ``beam_width`` live candidates of the current level and the best
+    ``beam_width`` finished items of all levels. Once a heap is full, the
+    scan of a best-first child list stops at the first child whose
+    ``score + step`` (for a terminal, ``(score + step) + bound``) is
+    strictly below that heap's least score, and a terminal whose exact
+    ``(score + step) + EOS`` is strictly below it is skipped. Rounded
+    addition is monotone and ties are never cut, so the ranking and its
+    scores are exactly those of the unpruned search, which expands the same
+    live hypotheses and asks ``model.logprob`` as often.
 
     The search reads nothing of ``history`` but its last order-1 tokens, so
     its ranking is kept on the model under (``trie.root``, that tail,
@@ -337,22 +374,46 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
             allowed_level1: set[int] | None) -> list[tuple[str, float]]:
     # Hypotheses carry only the context tail the model reads; live ones are
     # (-score, generated tokens, node, tail), finished ones (-score, item),
-    # so that plain tuple order is the ranking and its tie-break.
+    # so that plain tuple order is the ranking and its tie-break. ``best``
+    # and ``done`` hold the top scores of this level's live candidates and
+    # of all finished items: a candidate strictly below a full heap's least
+    # score has beam_width better ones and cannot rank.
     live = [(-0.0, (), root, tail)]
     finished: list[tuple[float, str]] = []
+    done: list[float] = []
     allowed = allowed_level1
     while live:
         next_live = []
+        best: list[float] = []
         for neg, gen, node, ctx in live:
             score = -neg
-            for token, child, step, next_ctx, eos in model.expansions(node, ctx):
+            steps, finishes = model.expansions(node, ctx)
+            for step, token, child, next_ctx in steps:
                 if allowed is not None and token not in allowed:
                     continue
-                if eos is None:
-                    next_live.append((-(score + step), gen + (token,), child,
-                                      next_ctx))
+                total = score + step
+                if len(best) < beam_width:
+                    heapq.heappush(best, total)
+                elif total < best[0]:
+                    break
                 else:
-                    finished.append((-((score + step) + eos), child.item_id))
+                    heapq.heapreplace(best, total)
+                next_live.append((-total, gen + (token,), child, next_ctx))
+            for step, bound, eos, token, item_id in finishes:
+                if allowed is not None and token not in allowed:
+                    continue
+                total = score + step
+                if len(done) < beam_width:
+                    total += eos
+                    heapq.heappush(done, total)
+                else:
+                    if total + bound < done[0]:
+                        break
+                    total += eos
+                    if total < done[0]:
+                        continue
+                    heapq.heapreplace(done, total)
+                finished.append((-total, item_id))
         live = heapq.nsmallest(beam_width, next_live)
         allowed = None
     return [(item_id, -neg)

@@ -24,6 +24,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,29 +81,62 @@ class CallStats:
 
 
 class CallLedger:
-    """Thread-safe, monotone counters per (role, template_id)."""
+    """Thread-safe, monotone counters per (role, template_id).
+
+    Recording never blocks: a call appends its counts to a queue and folds
+    the queue into the counters only if it takes the lock without waiting.
+    A call that finds the lock held leaves its counts queued for the holder,
+    or for the next call or read, so the queue holds only what was recorded
+    while one fold was running. Reads take the lock and fold the queue
+    first, so their totals are exact.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: dict[tuple[str, str], CallStats] = {}
+        # (key, calls, retries, tokens); deque appends and pops are atomic.
+        self._queued: deque[tuple[tuple[str, str], int, int, int]] = deque()
 
     def record_call(self, role: AgentRole, template_id: str,
                     prompt: str, response: str) -> None:
-        with self._lock:
-            stats = self._stats.setdefault((role.value, template_id), CallStats())
-            stats.calls += 1
-            stats.token_estimate += (len(prompt) + len(response)) // 4
+        self._record((role.value, template_id), 1, 0,
+                     (len(prompt) + len(response)) // 4)
 
     def record_retry(self, role: AgentRole, template_id: str) -> None:
-        with self._lock:
-            stats = self._stats.setdefault((role.value, template_id), CallStats())
-            stats.retries += 1
+        self._record((role.value, template_id), 0, 1, 0)
+
+    def _record(self, key: tuple[str, str], calls: int, retries: int,
+                tokens: int) -> None:
+        self._queued.append((key, calls, retries, tokens))
+        if self._lock.acquire(blocking=False):
+            try:
+                self._fold()
+            finally:
+                self._lock.release()
+
+    def _fold(self) -> None:
+        """Add every queued count to the counters; the caller holds the
+        lock, so no other thread pops the queue."""
+        queued, table = self._queued, self._stats
+        while queued:
+            key, calls, retries, tokens = queued.popleft()
+            stats = table.get(key)
+            if stats is None:
+                stats = table[key] = CallStats()
+            stats.calls += calls
+            stats.retries += retries
+            stats.token_estimate += tokens
+
+    def _totals(self) -> dict[tuple[str, str], CallStats]:
+        """The counters with nothing left queued; the caller holds the lock."""
+        self._fold()
+        return self._stats
 
     def calls(self, role: AgentRole | None = None,
               template_id: str | None = None) -> int:
         with self._lock:
             return sum(
-                s.calls for (r, t), s in self._stats.items()
+                s.calls for (r, t), s in self._totals().items()
                 if (role is None or r == role.value)
                 and (template_id is None or t == template_id)
             )
@@ -111,7 +145,7 @@ class CallLedger:
                 template_id: str | None = None) -> int:
         with self._lock:
             return sum(
-                s.retries for (r, t), s in self._stats.items()
+                s.retries for (r, t), s in self._totals().items()
                 if (role is None or r == role.value)
                 and (template_id is None or t == template_id)
             )
@@ -121,7 +155,7 @@ class CallLedger:
             return {
                 f"{r}/{t}": {"calls": s.calls, "retries": s.retries,
                              "token_estimate": s.token_estimate}
-                for (r, t), s in sorted(self._stats.items())
+                for (r, t), s in sorted(self._totals().items())
             }
 
     def save_jsonl(self, path: str | Path) -> None:
@@ -134,9 +168,10 @@ class CallLedger:
     def load_jsonl(self, path: str | Path) -> None:
         """Merge previously persisted counters (a gateway's saved ledger)."""
         with self._lock:
+            table = self._totals()
             for row in read_jsonl(path):
-                stats = self._stats.setdefault((row["role"], row["template_id"]),
-                                               CallStats())
+                stats = table.setdefault((row["role"], row["template_id"]),
+                                         CallStats())
                 stats.calls += int(row.get("calls", 0))
                 stats.retries += int(row.get("retries", 0))
                 stats.token_estimate += int(row.get("token_estimate", 0))

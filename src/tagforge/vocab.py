@@ -105,7 +105,9 @@ class VocabularyTree:
         if node.parent != parent_id:
             raise VocabularyError("node.parent does not match parent_id")
         if node.depth != parent.depth + 1:
-            raise VocabularyError("node.depth must be parent.depth + 1")
+            raise VocabularyError(
+                f"{node.rule_id}: depth {node.depth}, but its parent "
+                f"{parent_id} is at depth {parent.depth}")
         if not node.items <= parent.items:
             raise VocabularyError(
                 f"{node.rule_id}: items are not a subset of the parent's")
@@ -131,7 +133,9 @@ class VocabularyTree:
         """Inverse of :meth:`to_json`, with member items supplied per rule.
 
         Nodes are added through :meth:`add_child` in (depth, rule_id) order,
-        so a loaded tree passes the same checks as a built one.
+        so a loaded tree passes the same checks as a built one. Before any
+        node is added, a node whose declared depth differs from the depth
+        its chain of parents gives is rejected by name, with both depths.
         """
         root_id = payload["root"]
         tree = cls(items_by_rule.get(root_id, ()), payload.get("config", {}))
@@ -139,6 +143,7 @@ class VocabularyTree:
             raise VocabularyError(f"bad root id {root_id!r}")
         raw_nodes = payload["nodes"]
         tree.root.status = raw_nodes[root_id].get("status", STATUS_ACTIVE)
+        _check_depths(raw_nodes, root_id)
         for rid in sorted((rid for rid in raw_nodes if rid != root_id),
                           key=lambda rid: (raw_nodes[rid]["depth"], rid)):
             raw = raw_nodes[rid]
@@ -165,6 +170,31 @@ class VocabularyTree:
         """The tree saved at ``tree_path``: structure only, so every node's
         ``items`` is empty."""
         return cls.from_json(read_json(tree_path), {})
+
+
+def _check_depths(raw_nodes: Mapping[str, dict], root_id: str) -> None:
+    """Raise, naming the node, when a node's declared ``depth`` differs from
+    the number of parent steps up to ``root_id``; each chain is checked from
+    the root down, so the node named is the topmost wrong one. A chain that
+    meets a missing parent or a cycle is left to :meth:`add_child`."""
+    chain_depth = {root_id: 0}
+    for rid in sorted(raw_nodes):
+        path, up = [], rid
+        while up not in chain_depth:
+            if up in path or up not in raw_nodes:
+                break
+            path.append(up)
+            up = raw_nodes[up]["parent"]
+        else:
+            depth = chain_depth[up]
+            for node_id in reversed(path):
+                depth += 1
+                chain_depth[node_id] = depth
+                declared = raw_nodes[node_id]["depth"]
+                if declared != depth:
+                    raise VocabularyError(
+                        f"{node_id}: depth {declared} in the file, but its "
+                        f"parents put it at depth {depth}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from tagforge.assignment import AssignmentRecord, SemidRow, SemidTable, export_semids, resolve_collisions
 from tagforge.corpus import SplitDataset
-from tagforge.decoding import (DecodingError, SurrogateModel, beam_decode,
-                               build_trie, encode_history,
+from tagforge.decoding import (DecodingError, DescriptorTrie, SurrogateModel,
+                               beam_decode, build_trie, encode_history,
                                fit_surrogate, simulate_user, user_stream)
 from tagforge.gateway import AgentRole, BackendRefusalError, Gateway
 from tagforge.mockllm import MockLLMBackend
@@ -384,6 +385,133 @@ def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
         other = history[:1] + history + tail
         assert beam_decode(model, other, trie, width, allowed) == ranked
     assert calls == []
+
+
+def _assert_best_first(model):
+    """Every expansion entry holds each child of its node once, with the
+    scores ``logprob`` gives, both lists best-first (ties in token order),
+    and each terminal's bound is the largest EOS at or after it."""
+    for (node, ctx), (steps, finishes) in model._expansions.items():
+        keep = model.order - 1
+        assert sorted([e[1] for e in steps] + [e[3] for e in finishes]) == \
+            sorted(node.children)
+        for step, token, child, next_ctx in steps:
+            assert child is node.children[token] and child.item_id is None
+            assert step == model.logprob(token, ctx)
+            assert next_ctx == ((ctx + (token,))[-keep:] if keep else ())
+        for step, _, eos, token, item_id in finishes:
+            assert item_id is not None
+            assert item_id == node.children[token].item_id
+            assert step == model.logprob(token, ctx)
+            tail = (ctx + (token,))[-keep:] if keep else ()
+            assert eos == model.logprob(model.eos_token, tail)
+        # Step logprob descending, ties in token order.
+        for order in ([(-e[0], e[1]) for e in steps],
+                      [(-e[0], e[3]) for e in finishes]):
+            assert order == sorted(order)
+        eos = [e[2] for e in finishes]
+        assert [e[1] for e in finishes] == [max(eos[k:])
+                                            for k in range(len(eos))]
+
+
+def test_expansions_are_best_first_with_suffix_bounds(decode_setup):
+    _, _, _, table, split, _, trie = decode_setup
+    for order in (1, 3):
+        for alpha in (0.0, 0.1):
+            model = fit_surrogate(split, table, order=order, alpha=alpha)
+            for history, width, allowed in _decode_requests(table, split,
+                                                            trie, order, 3):
+                beam_decode(model, history, trie, width, allowed)
+            assert any(len(e[1]) > 1 for e in model._expansions.values())
+            _assert_best_first(model)
+
+
+def test_a_huge_beam_width_allocates_nothing_for_it(decode_setup):
+    _, _, _, table, split, model, trie = decode_setup
+    history = encode_history(table, split.train[sorted(split.test)[1]],
+                             model.order)
+    full = reference_beam_decode(model, history, trie, trie.n_terminals)
+    tracemalloc.start()
+    try:
+        ranked = beam_decode(model, history, trie, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranked == full
+    assert peak < 8 * 2**20
+
+
+@st.composite
+def _random_decode_worlds(draw):
+    """(item token sequences, streams, history, critique) over tokens 0 BOS,
+    1 EOS, 2 boundary, 3-5 descriptors and 6 up collision resolvers, so no
+    terminal prefixes another while a node may have both kinds of child."""
+    paths = draw(st.lists(st.lists(st.integers(3, 5), min_size=1,
+                                   max_size=3).map(tuple),
+                          min_size=1, max_size=8))
+    seen = Counter()
+    items = []
+    for path in paths:
+        items.append(path + (6 + seen[path],))
+        seen[path] += 1
+    pick = st.integers(0, len(items) - 1)
+    streams = draw(st.lists(st.lists(pick, min_size=1, max_size=5),
+                            max_size=5))
+    if draw(st.booleans()):
+        # Every item once, twice over: equal counts and exact score ties.
+        streams += [[k] for k in range(len(items))] * 2
+    return (items, streams, draw(st.lists(pick, max_size=4)),
+            draw(st.sets(st.integers(3, 5), min_size=1)))
+
+
+def _token_stream(items, picks, order):
+    stream = [0] * max(1, order - 1)
+    for k, pick in enumerate(picks):
+        if k:
+            stream.append(2)
+        stream.extend(items[pick])
+    return stream + [1]
+
+
+def _logprob_calls(model, decode, *args):
+    """``decode(model, *args)`` and the number of ``model.logprob`` calls
+    it made."""
+    calls = []
+    model.logprob = lambda token, ctx: (calls.append(token)
+                                        or SurrogateModel.logprob(model, token, ctx))
+    try:
+        return decode(model, *args), len(calls)
+    finally:
+        del model.logprob
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=_random_decode_worlds(), order=st.integers(1, 4),
+       alpha=st.sampled_from([0.0, 0.1]))
+def test_pruned_beam_equals_reference_on_random_tries(world, order, alpha):
+    items, streams, picks, critique = world
+    trie = DescriptorTrie()
+    for k, tokens in enumerate(items):
+        trie.insert(tokens, f"i{k}")
+    model = SurrogateModel(order=order, alpha=alpha,
+                           vocab_size=1 + max(max(t) for t in items))
+    model.observe_streams(_token_stream(items, s, order) for s in streams)
+    history = tuple(_token_stream(items, picks, order)[:-1] + [2])
+    allowed = critique & trie.level1_tokens() or None
+    for width in range(1, trie.n_terminals + 2):
+        # On cold tables the pruned search expands the reference's live
+        # hypotheses, so it asks the scorer exactly as often.
+        model._expansions.clear()
+        model._rankings.clear()
+        ranked, calls = _logprob_calls(model, beam_decode, history, trie, width)
+        expected, reference_calls = _logprob_calls(
+            model, reference_beam_decode, history, trie, width)
+        assert ranked == expected
+        assert calls == reference_calls
+        if allowed is not None:
+            assert beam_decode(model, history, trie, width, allowed) == \
+                reference_beam_decode(model, history, trie, width, allowed)
+    _assert_best_first(model)
 
 
 def test_threads_decoding_on_one_model_get_the_reference(decode_setup):

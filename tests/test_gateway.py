@@ -409,6 +409,69 @@ def test_ledger_save_load_round_trip(tmp_path):
     assert fresh.snapshot() == ledger.snapshot()
 
 
+def test_ledger_totals_are_exact_under_thread_switches(tmp_path):
+    """Eight writers record on three keys while a reader merges a saved
+    ledger and then reads; with a 1 us switch interval the totals still
+    count every call and retry."""
+    ledger = CallLedger()
+    saved = tmp_path / "ledger.jsonl"
+    ledger.record_call(AgentRole.ARCHITECT, "Seed", "p" * 8, "")
+    ledger.save_jsonl(saved)
+    templates = ("AssignItem", "ErrorFeedback", "ArchitectReview")
+    n_threads, n_calls = 8, 4000
+    stop = threading.Event()
+    snapshots = []
+
+    def write(k):
+        for i in range(n_calls):
+            template = templates[(k + i) % len(templates)]
+            ledger.record_call(AgentRole.ANNOTATOR, template, "p" * 12, "r" * 4)
+            if i % 3 == 0:
+                ledger.record_retry(AgentRole.ANNOTATOR, template)
+
+    def read():
+        ledger.load_jsonl(saved)
+        while not stop.is_set():
+            snapshots.append(ledger.calls())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(k,))
+                   for k in range(n_threads)]
+        for thread in writers:
+            thread.start()
+        reader.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + [reader])
+    assert snapshots == sorted(snapshots)
+    total = n_threads * n_calls
+    assert ledger.calls(AgentRole.ANNOTATOR) == total
+    assert ledger.retries() == n_threads * len(range(0, n_calls, 3))
+    assert ledger.calls(AgentRole.ARCHITECT, "Seed") == 2
+    assert sum(row["token_estimate"] for row in ledger.snapshot().values()) \
+        == total * 4 + 2 * 2
+
+
+def test_recording_a_call_never_waits_for_a_reader():
+    ledger = CallLedger()
+    ledger.record_call(AgentRole.ANNOTATOR, "AssignItem", "p", "r")
+    recorder = threading.Thread(target=lambda: [ledger.record_call(
+        AgentRole.ANNOTATOR, "AssignItem", "p", "r") for _ in range(3)])
+    with ledger._lock:  # a reader or another fold holds the counters
+        recorder.start()
+        recorder.join(timeout=10)
+        assert not recorder.is_alive()
+    assert ledger.calls() == 4
+    assert not ledger._queued
+
+
 class _LLMHandler(BaseHTTPRequestHandler):
     """Answers every POST with the server's ``status`` and ``reply`` after
     ``delay`` seconds, and keeps each request in ``seen``."""

@@ -33,9 +33,11 @@ def test_add_child_enforces_subset_and_depth():
         tree.add_child(rid, DescriptorNode(
             rule_id=tree.fresh_rule_id(rid, "grand"), name="grand",
             description="d", parent=rid, depth=2, items={"b"}))
-    with pytest.raises(VocabularyError, match="depth"):
+    grand2 = tree.fresh_rule_id(rid, "grand2")
+    with pytest.raises(VocabularyError,
+                       match=rf"^{grand2}: depth 3, .* at depth 1$"):
         tree.add_child(rid, DescriptorNode(
-            rule_id=tree.fresh_rule_id(rid, "grand2"), name="grand2",
+            rule_id=grand2, name="grand2",
             description="d", parent=rid, depth=3, items={"a"}))
     assert set(tree.nodes) == {tree.root_id, rid}
     assert tree.children == {tree.root_id: [rid], rid: []}
@@ -115,6 +117,35 @@ def test_from_json_rejects_what_add_child_rejects(case, message):
         nodes[make_rule_id("other root")] = nodes[payload["root"]] | {"name": "other"}
     with pytest.raises(VocabularyError, match=message):
         VocabularyTree.from_json(payload, items)
+
+
+@pytest.mark.parametrize("name", ["first", "middle", "last"])
+def test_from_json_names_the_node_whose_depth_is_wrong(name):
+    # Three levels, two depth-2 nodes with two children each; one depth-2
+    # node claims depth 3, so it sorts among the depth-3 nodes, before or
+    # after its own children.
+    tree = _tree()
+    kid = tree.fresh_rule_id(tree.root_id, "kid")
+    tree.add_child(tree.root_id, DescriptorNode(
+        rule_id=kid, name="kid", description="d", parent=tree.root_id,
+        depth=1))
+    grands = {}
+    for grand_name in ("first", "middle", "last"):
+        grand = grands[grand_name] = tree.fresh_rule_id(kid, grand_name)
+        tree.add_child(kid, DescriptorNode(
+            rule_id=grand, name=grand_name, description="d", parent=kid,
+            depth=2))
+        for leaf_name in ("x", "y"):
+            tree.add_child(grand, DescriptorNode(
+                rule_id=tree.fresh_rule_id(grand, leaf_name), name=leaf_name,
+                description="d", parent=grand, depth=3))
+    payload = tree.to_json()
+    assert set(VocabularyTree.from_json(payload, {}).nodes) == set(payload["nodes"])
+    wrong = grands[name]
+    payload["nodes"][wrong]["depth"] = 3
+    with pytest.raises(VocabularyError,
+                       match=rf"^{wrong}: depth 3 in the file, .* at depth 2$"):
+        VocabularyTree.from_json(payload, {})
 
 
 def test_build_config_validation():
