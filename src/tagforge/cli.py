@@ -97,6 +97,8 @@ class RunConfig:
                 raise CliError("config", f"{name} must be >= {floor}", 2)
         if self.budget_max_calls is not None and self.budget_max_calls < 0:
             raise CliError("config", "budget_max_calls must be >= 0", 2)
+        if not self.eval_ks:
+            raise CliError("config", "eval_ks must list at least one cutoff", 2)
         if any(k < 1 for k in self.eval_ks):
             raise CliError("config", "eval_ks entries must be >= 1", 2)
         if not 0.0 <= self.mock_false_negative_rate <= 1.0:

@@ -9,10 +9,11 @@ exercising the full decoding machinery exactly. Fitting counts every gram of
 every stream in one pass (:meth:`SurrogateModel.observe_streams`), and each
 item's tokens come from ``SemidTable.units``, built once per table.
 
-Beam search reads its step and EOS scores from a table on the model, one
-entry per (trie node, context tail), filled through
-``SurrogateModel.logprob`` on first use. Every score is therefore the float
-``logprob`` gives, and a count of ``logprob`` calls counts table misses.
+Beam search and ``SurrogateModel.score_path`` read their step and EOS
+scores from a table on the model, one entry per (trie node, context tail),
+filled through ``SurrogateModel.logprob`` on first use. Every score is
+therefore the float ``logprob`` gives, and a count of its calls counts
+table misses.
 An entry lists a node's children best-first by step logprob, so the search
 stops scanning them at the first child that can no longer reach the top
 ``beam_width`` (the threshold algorithm of Fagin, Lotem & Naor, PODS 2001);
@@ -94,12 +95,11 @@ Step = tuple[float, int, TrieNode, tuple[int, ...]]
 # A step into a terminal child: (step logprob, bound, EOS logprob, token,
 # item id), ``bound`` being the largest EOS logprob at or after it in its list.
 Finish = tuple[float, float, float, int, str]
+# A step into any child: (step logprob, child, child's context tail, EOS
+# logprob after the child if it is terminal, else None).
+Hop = tuple[float, TrieNode, tuple[int, ...], float | None]
 # Both lists best-first: step logprob descending, ties in token order.
-Expansion = tuple[list[Step], list[Finish]]
-
-
-def _log(p: float) -> float:
-    return math.log(p) if p > 0 else -math.inf
+Expansion = tuple[list[Step], list[Finish], dict[int, Hop]]
 
 
 class SurrogateModel:
@@ -119,9 +119,6 @@ class SurrogateModel:
         self.eos_token = eos_token
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self.context_totals: dict[tuple[int, ...], int] = {}
-        # context -> ({observed token: logprob}, logprob of any unseen token)
-        self._logprob_rows: dict[tuple[int, ...],
-                                 tuple[dict[int, float], float]] = {}
         self._expansions: dict[tuple[TrieNode, tuple[int, ...]],
                                Expansion] = {}
         # (trie root, context tail, beam width, allowed level-1 set or None)
@@ -151,50 +148,43 @@ class SurrogateModel:
                 row = counts[ctx] = {}
             row[nxt] = row.get(nxt, 0) + n
             totals[ctx] = totals.get(ctx, 0) + n
-        self._logprob_rows.clear()
         self._expansions.clear()
         self._rankings.clear()
-
-    def _smoothed(self, count: int, total: int) -> float:
-        if self.alpha == 0.0:
-            if total == 0:
-                return 1.0 / self.vocab_size
-            return count / total
-        return (count + self.alpha) / (total + self.alpha * self.vocab_size)
 
     def logprob(self, token: int, context: tuple[int, ...]) -> float:
         """log P(token | last order-1 context tokens) under additive
         smoothing, ``-inf`` for probability 0. With alpha = 0 an unseen
         context falls back to the uniform distribution over the vocabulary.
 
-        Served from a per-context row built on first use: one entry per
-        token observed after the context and one value shared by every
-        unseen token, so a row is as sparse as the counts behind it.
+        Computed from the counts on every call; beam search and
+        :meth:`score_path` read it through the :meth:`expansions` table.
         """
         ctx = context[-(self.order - 1):] if self.order > 1 else ()
-        row = self._logprob_rows.get(ctx)
-        if row is None:
-            total = self.context_totals.get(ctx, 0)
-            row = ({t: _log(self._smoothed(c, total))
-                    for t, c in self.counts.get(ctx, {}).items()},
-                   _log(self._smoothed(0, total)))
-            self._logprob_rows[ctx] = row
-        seen, unseen = row
-        return seen.get(token, unseen)
+        total = self.context_totals.get(ctx, 0)
+        row = self.counts.get(ctx)
+        count = row.get(token, 0) if row else 0
+        if self.alpha != 0.0:
+            p = (count + self.alpha) / (total + self.alpha * self.vocab_size)
+        elif total:
+            p = count / total
+        else:
+            p = 1.0 / self.vocab_size
+        return math.log(p) if p > 0 else -math.inf
 
     def expansions(self, node: TrieNode,
                    context: tuple[int, ...]) -> Expansion:
         """Every step out of trie ``node`` after ``context``, the tail of at
-        most order-1 tokens that the model reads, as two lists: one
-        ``(step logprob, token, child, child's context tail)`` per
-        non-terminal child, and one ``(step logprob, bound, EOS logprob,
-        token, item id)`` per terminal child. Each list is sorted by step
-        logprob, highest first and ties in token order, and a terminal's
+        most order-1 tokens that the model reads: a ``Step`` per
+        non-terminal child and a ``Finish`` per terminal child, each list
+        sorted by step logprob, highest first and ties in token order, and
+        a ``Hop`` per child by token, for :meth:`score_path`. A terminal's
         ``bound`` is the largest EOS logprob at or after it in its list, so
         no later terminal finishes above ``(score + step) + bound``.
 
         Filled on first use through :meth:`logprob`, so each number is the
-        one it returns, and kept until the next :meth:`observe_streams`.
+        one it returns, and kept until the next :meth:`observe_streams`; this
+        table and the rankings of :func:`beam_decode` are the model's only
+        caches.
         An entry is stored only once built, so threads sharing the model
         never see a partial one. Since every history ends in the boundary
         token, below the first level (order 3) a context tail is fixed by
@@ -206,15 +196,17 @@ class SurrogateModel:
         entry = self._expansions.get(key)
         if entry is None:
             keep = self.order - 1
-            steps, ends = [], []
+            steps, ends, hops = [], [], {}
             for token, child in sorted(node.children.items()):
                 next_ctx = (context + (token,))[-keep:] if keep else ()
                 step = self.logprob(token, context)
+                eos = None
                 if child.item_id is None:
                     steps.append((step, token, child, next_ctx))
                 else:
-                    ends.append((step, self.logprob(self.eos_token, next_ctx),
-                                 token, child.item_id))
+                    eos = self.logprob(self.eos_token, next_ctx)
+                    ends.append((step, eos, token, child.item_id))
+                hops[token] = (step, child, next_ctx, eos)
             # Python's sort is stable, reverse=True included.
             steps.sort(key=itemgetter(0), reverse=True)
             ends.sort(key=itemgetter(0), reverse=True)
@@ -224,8 +216,23 @@ class SurrogateModel:
                 bound = max(bound, eos)
                 finishes.append((step, bound, eos, token, item_id))
             finishes.reverse()
-            entry = self._expansions[key] = (steps, finishes)
+            entry = self._expansions[key] = (steps, finishes, hops)
         return entry
+
+    def score_path(self, node: TrieNode, context: tuple[int, ...],
+                   tokens: Sequence[int]) -> float:
+        """:meth:`score_sequence` of ``tokens`` then EOS, for ``tokens`` the
+        path from trie ``node`` to an item: the same numbers, read hop by hop
+        from :meth:`expansions` and summed in the same order, so the same
+        float, with each computed once per (trie node, context tail)."""
+        keep = self.order - 1
+        ctx, score, eos = context[-keep:] if keep else (), 0.0, None
+        for token in tokens:
+            step, node, ctx, eos = self.expansions(node, ctx)[2][token]
+            score += step
+        if eos is None:
+            raise DecodingError(f"path {list(tokens)} does not end at an item")
+        return score + eos
 
     def score_sequence(self, context: tuple[int, ...],
                        tokens: list[int]) -> float:
@@ -387,7 +394,7 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
         best: list[float] = []
         for neg, gen, node, ctx in live:
             score = -neg
-            steps, finishes = model.expansions(node, ctx)
+            steps, finishes, _ = model.expansions(node, ctx)
             for step, token, child, next_ctx in steps:
                 if allowed is not None and token not in allowed:
                     continue

@@ -90,9 +90,11 @@ def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
 
     ``full`` decodes the trie with the beam; ``sampled`` ranks the target
     plus ``n_negatives`` seeded uniform negatives (drawn outside the user's
-    train history) by sequence score. Users whose target lacks a semantic ID
-    are skipped and counted. The beam returns at most ``beam_width`` items,
-    so full mode rejects a cutoff above it.
+    train history) by sequence score, read along each candidate's trie path
+    by ``model.score_path`` when a trie is given, else by
+    ``model.score_sequence``. Users whose target lacks a semantic ID are
+    skipped and counted. The beam returns at most ``beam_width`` items, so
+    full mode rejects a cutoff above it.
     """
     if mode not in ("full", "sampled"):
         raise EvalError(f"unknown evaluation mode {mode!r}")
@@ -124,12 +126,12 @@ def evaluate_run(model: SurrogateModel, trie: DescriptorTrie | None,
             exclude = set(history) | {target}
             negatives = sample_negatives(rng, all_ids, sorted(
                 position[i] for i in exclude), n_negatives)
-            scored = []
-            for item_id in [target] + negatives:
-                tokens = list(table.row_of(item_id).tokens)
-                scored.append((item_id, model.score_sequence(context, tokens)))
-            scored.sort(key=lambda f: (-f[1], f[0]))
-            ranked = [item_id for item_id, _ in scored]
+            # Best score first, ties by item id.
+            ranked = [item_id for _, item_id in sorted(
+                (-(model.score_sequence(context, table.row_of(item_id).tokens)
+                   if trie is None else
+                   model.score_path(trie.root, context, table.units[item_id])),
+                 item_id) for item_id in [target] + negatives)]
         for k in ks:
             sums[k][0] += recall_at_k(ranked, target, k)
             sums[k][1] += ndcg_at_k(ranked, target, k)

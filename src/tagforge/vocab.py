@@ -132,10 +132,12 @@ class VocabularyTree:
                   items_by_rule: Mapping[str, Iterable[str]]) -> "VocabularyTree":
         """Inverse of :meth:`to_json`, with member items supplied per rule.
 
-        Nodes are added through :meth:`add_child` in (depth, rule_id) order,
-        so a loaded tree passes the same checks as a built one. Before any
-        node is added, a node whose declared depth differs from the depth
-        its chain of parents gives is rejected by name, with both depths.
+        Nodes are added through :meth:`add_child` level by level from the
+        root, each level in rule_id order, so a loaded tree passes the same
+        checks as a built one and the topmost node at a wrong depth is the
+        one named. Nodes no level reaches (a missing parent, a cycle, a
+        second root) come last, in rule_id order, and :meth:`add_child`
+        rejects the first of them.
         """
         root_id = payload["root"]
         tree = cls(items_by_rule.get(root_id, ()), payload.get("config", {}))
@@ -143,9 +145,17 @@ class VocabularyTree:
             raise VocabularyError(f"bad root id {root_id!r}")
         raw_nodes = payload["nodes"]
         tree.root.status = raw_nodes[root_id].get("status", STATUS_ACTIVE)
-        _check_depths(raw_nodes, root_id)
-        for rid in sorted((rid for rid in raw_nodes if rid != root_id),
-                          key=lambda rid: (raw_nodes[rid]["depth"], rid)):
+        children: dict[str | None, list[str]] = {}
+        for rid, raw in raw_nodes.items():
+            if rid != root_id:
+                children.setdefault(raw["parent"], []).append(rid)
+        order, level = [], [root_id]
+        while level:
+            level = sorted(rid for parent in level
+                           for rid in children.pop(parent, ()))
+            order += level
+        order += sorted(rid for rest in children.values() for rid in rest)
+        for rid in order:
             raw = raw_nodes[rid]
             tree.add_child(raw["parent"], DescriptorNode(
                 rule_id=rid, name=raw["name"], description=raw["description"],
@@ -170,31 +180,6 @@ class VocabularyTree:
         """The tree saved at ``tree_path``: structure only, so every node's
         ``items`` is empty."""
         return cls.from_json(read_json(tree_path), {})
-
-
-def _check_depths(raw_nodes: Mapping[str, dict], root_id: str) -> None:
-    """Raise, naming the node, when a node's declared ``depth`` differs from
-    the number of parent steps up to ``root_id``; each chain is checked from
-    the root down, so the node named is the topmost wrong one. A chain that
-    meets a missing parent or a cycle is left to :meth:`add_child`."""
-    chain_depth = {root_id: 0}
-    for rid in sorted(raw_nodes):
-        path, up = [], rid
-        while up not in chain_depth:
-            if up in path or up not in raw_nodes:
-                break
-            path.append(up)
-            up = raw_nodes[up]["parent"]
-        else:
-            depth = chain_depth[up]
-            for node_id in reversed(path):
-                depth += 1
-                chain_depth[node_id] = depth
-                declared = raw_nodes[node_id]["depth"]
-                if declared != depth:
-                    raise VocabularyError(
-                        f"{node_id}: depth {declared} in the file, but its "
-                        f"parents put it at depth {depth}")
 
 
 @dataclass

@@ -121,7 +121,6 @@ def reference_observe_stream(model: SurrogateModel, tokens: list[int]) -> None:
     """Drop the model's caches, then count one stream token by token, a
     context slice and two dict updates per token; the oracle for
     ``SurrogateModel.observe_streams``."""
-    model._logprob_rows.clear()
     model._expansions.clear()
     model._rankings.clear()
     m = model.order

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from tagforge.assignment import (AssignmentError, AssignmentRecord, SPECIALS,
                                  assign_paths, export_semids,
                                  resolve_collisions, vocab_stats)
 from tagforge.corpus import Corpus, Item
-from tagforge.gateway import AgentRole, BudgetExhaustedError
+from tagforge.gateway import AgentRole, BudgetExhaustedError, Gateway
+from tagforge.mockllm import MockLLMBackend
 from tagforge.vocab import VocabularyTree, make_rule_id
 
 from conftest import failing_items_gateway, make_gateway
@@ -86,6 +88,41 @@ def test_assign_paths_per_item_failures_are_flagged(small_build):
         ((), "truncated: unparseable choice")
     assert all(r.flag is None and len(r.path) == 2 for r in records
                if r.item_id not in (down, garbled))
+
+
+class ChoiceBackend:
+    """Wraps a backend; a prompt that holds every one of ``markers`` is
+    answered with ``choice`` as the best rule."""
+
+    def __init__(self, inner, markers, choice):
+        self.inner, self.markers, self.choice = inner, markers, choice
+
+    def generate(self, prompt):
+        if all(marker in prompt for marker in self.markers):
+            return json.dumps({"best_rule_id": self.choice})
+        return self.inner.generate(prompt)
+
+
+def test_assign_paths_flags_a_choice_that_is_not_a_child(small_build):
+    world, state = small_build
+    tree = state.tree
+    corpus = Corpus(list(world.corpus)[:6])
+    target = corpus.item_ids[2]
+    clean = {r.item_id: r for r in assign_paths(corpus, tree, make_gateway(world))}
+    first, second = clean[target].path
+    # At the level-1 node, the annotator names one of its siblings: a rule
+    # of the tree, but not a child of the node being descended.
+    sibling = next(n.rule_id for n in tree.children_of(tree.root_id)
+                   if n.rule_id != first)
+    backend = ChoiceBackend(MockLLMBackend(world.taxonomy, seed=0),
+                            (f"[{target}]", f"- {second} ::"), sibling)
+    gateway = Gateway({AgentRole.ARCHITECT: backend, AgentRole.ANNOTATOR: backend})
+    records = {r.item_id: r for r in assign_paths(corpus, tree, gateway,
+                                                   parallelism=2)}
+    rec = records.pop(target)
+    assert (rec.path, rec.flag, rec.terminated) == \
+        ((first,), "truncated: unknown rule id", True)
+    assert records == {i: r for i, r in clean.items() if i != target}
 
 
 def test_assign_paths_budget_raises_after_exact_budget(small_build):

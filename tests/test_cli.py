@@ -10,13 +10,14 @@ import signal
 import socket
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from tagforge import cli, mockllm
 from tagforge.cli import dispatch
-from tagforge.gateway import BackendRefusalError
+from tagforge.gateway import AgentRole, BackendRefusalError, HttpBackend
 from tagforge.mockllm import MockLLMBackend
 from tagforge.planted import (make_interactions, make_world, save_world)
 from tagforge.corpus import (last_out_split, load_corpus, load_interactions,
@@ -840,7 +841,8 @@ def test_flag_and_config_key_give_the_same_config(workspace, tmp_path, flag):
     *(pytest.param([], {key: value}, id=f"{key} {value}")
       for key, value in [("surrogate_order", 0), ("embed_dim", 0),
                          ("n_negatives", 0), ("n_negatives", -1),
-                         ("eval_ks", [0]), ("eval_ks", [5, 0]),
+                         ("eval_ks", []), ("eval_ks", [0]),
+                         ("eval_ks", [5, 0]),
                          ("surrogate_alpha", -1), ("backoff_base", -0.5),
                          ("max_retries", -1), ("budget_max_calls", -1),
                          ("mock_false_negative_rate", 2.0),
@@ -853,6 +855,29 @@ def test_bad_value_is_config_error_before_any_call(tmp_path, capsys, small_world
     assert capsys.readouterr().err.startswith("ERR:config:")
     # Rejected before the run directory, its ledger or transcript is made.
     assert not (tmp_path / "run").exists()
+
+
+def test_http_backend_needs_an_endpoint_and_sends_nothing_when_made(
+        tmp_path, capsys, small_world, monkeypatch):
+    config_path = _mock_config(tmp_path, small_world, backend="http")
+    assert run(config_path, "ingest") == 0
+    assert run(config_path, "build-vocab") == 2
+    assert capsys.readouterr().err.startswith(
+        "ERR:config: http backend requires http_endpoint")
+    sent = []
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open",
+                        lambda self, *args, **kwargs: sent.append(args))
+    cfg = cli.RunConfig(run_dir=str(tmp_path / "http"), backend="http",
+                        http_endpoint="http://localhost:9/v1/chat",
+                        http_architect_model="big", http_annotator_model="small")
+    gateway = cli.make_gateway(cfg, RunPaths(cfg.run_dir))
+    backends = gateway._backends
+    assert {role: type(b) for role, b in backends.items()} == {
+        AgentRole.ARCHITECT: HttpBackend, AgentRole.ANNOTATOR: HttpBackend}
+    assert backends[AgentRole.ARCHITECT].model == "big"
+    assert backends[AgentRole.ANNOTATOR].model == "small"
+    assert {b.endpoint for b in backends.values()} == {cfg.http_endpoint}
+    assert sent == []
 
 
 @pytest.mark.parametrize("key, value", [("parallelism", "4"),

@@ -133,7 +133,7 @@ def _expected_logprob(model: SurrogateModel, token: int, ctx: tuple) -> float:
        queries=st.lists(st.tuples(st.integers(0, 5),
                                   st.lists(st.integers(0, 5), max_size=5)),
                         min_size=1, max_size=30))
-def test_logprob_rows_equal_log_of_prob(order, alpha, first, later, queries):
+def test_logprob_equals_log_of_prob(order, alpha, first, later, queries):
     # Token 5 never occurs in ``first``: contexts holding it are unseen (the
     # uniform fallback at alpha 0) and it is an unseen token in seen contexts.
     vocab = 6
@@ -390,8 +390,9 @@ def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
 def _assert_best_first(model):
     """Every expansion entry holds each child of its node once, with the
     scores ``logprob`` gives, both lists best-first (ties in token order),
-    and each terminal's bound is the largest EOS at or after it."""
-    for (node, ctx), (steps, finishes) in model._expansions.items():
+    each terminal's bound is the largest EOS at or after it, and the hop of
+    each token repeats its list entry."""
+    for (node, ctx), (steps, finishes, hops) in model._expansions.items():
         keep = model.order - 1
         assert sorted([e[1] for e in steps] + [e[3] for e in finishes]) == \
             sorted(node.children)
@@ -412,6 +413,12 @@ def _assert_best_first(model):
         eos = [e[2] for e in finishes]
         assert [e[1] for e in finishes] == [max(eos[k:])
                                             for k in range(len(eos))]
+        assert hops == (
+            {token: (step, child, next_ctx, None)
+             for step, token, child, next_ctx in steps}
+            | {token: (step, node.children[token],
+                       (ctx + (token,))[-keep:] if keep else (), eos)
+               for step, _, eos, token, _ in finishes})
 
 
 def test_expansions_are_best_first_with_suffix_bounds(decode_setup):
@@ -424,6 +431,32 @@ def test_expansions_are_best_first_with_suffix_bounds(decode_setup):
                 beam_decode(model, history, trie, width, allowed)
             assert any(len(e[1]) > 1 for e in model._expansions.values())
             _assert_best_first(model)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_score_path_equals_score_sequence(decode_setup, order, alpha,
+                                          monkeypatch):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=order, alpha=alpha)
+    histories = [encode_history(table, split.train[user_id], order)
+                 for user_id in sorted(split.test)[:4]]
+    for history in histories:
+        for row in table.rows:
+            assert model.score_path(trie.root, history,
+                                    table.units[row.item_id]) == \
+                model.score_sequence(history, row.tokens)
+    _assert_best_first(model)
+    # A second pass reads every number from the expansion table.
+    calls = _count_calls(monkeypatch, "logprob")
+    for history in histories:
+        for item_id, units in table.units.items():
+            model.score_path(trie.root, history, units)
+    assert calls == []
+    monkeypatch.undo()
+    units = next(iter(table.units.values()))
+    with pytest.raises(DecodingError, match="does not end at an item"):
+        model.score_path(trie.root, histories[0], units[:-1])
 
 
 def test_a_huge_beam_width_allocates_nothing_for_it(decode_setup):

@@ -143,6 +143,21 @@ def test_sampled_mode_deterministic_under_seed(small_semids):
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_sampled_mode_scores_along_the_trie_as_without_it(small_semids, order,
+                                                         monkeypatch):
+    world, _, _, table = small_semids
+    split = last_out_split(make_interactions(world, n_users=30, seed=2))
+    model = fit_surrogate(split, table, order=order, alpha=0.1)
+    kwargs = dict(mode="sampled", ks=(1, 5, 10), seed=11, n_negatives=50)
+    plain = evaluate_run(model, None, split, table, **kwargs)
+    # With a trie no candidate is scored through ``score_sequence``.
+    monkeypatch.delattr(type(model), "score_sequence")
+    along = evaluate_run(model, build_trie(table), split, table, **kwargs)
+    assert along.to_json() == plain.to_json()
+    assert plain.n_users > 0
+
+
 @pytest.mark.parametrize("size", [1, 3, 30, 150, 1200, 3000])
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_sampled_negatives_equal_the_pool_copy(size, n):
@@ -203,6 +218,29 @@ def test_full_rank_equals_enumeration_metrics(small_semids):
     for k in (5, 10):
         assert report.recall[k] == pytest.approx(total[k][0] / n)
         assert report.ndcg[k] == pytest.approx(total[k][1] / n)
+
+
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+def test_users_without_a_known_target_or_history_are_skipped(small_semids, mode):
+    world, _, _, table = small_semids
+    split = last_out_split(make_interactions(world, n_users=20, seed=4))
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    trie = build_trie(table)
+    user = sorted(split.test)[0]
+    # One user's target has no semantic ID; the other's history holds no
+    # item that has one.
+    padded = SplitDataset(
+        train={**split.train, "no-semid-target": split.train[user],
+               "unknown-history": ["no-such-item"]},
+        valid=split.valid,
+        test={**split.test, "no-semid-target": "no-such-item",
+              "unknown-history": split.test[user]})
+    kwargs = dict(mode=mode, ks=(5, 10), seed=3, n_negatives=50)
+    base = evaluate_run(model, trie, split, table, **kwargs)
+    report = evaluate_run(model, trie, padded, table, **kwargs)
+    assert report.n_skipped == base.n_skipped + 2
+    assert report.n_users == base.n_users > 0
+    assert (report.recall, report.ndcg) == (base.recall, base.ndcg)
 
 
 def _log(depth, coverages):

@@ -209,6 +209,36 @@ def test_propose_changes_two_missing_categories(provider):
     assert len(proposed) == len(proposals)
 
 
+def test_propose_changes_clusters_more_texts_than_its_batch(provider):
+    # Seven missing categories give seven distinct report texts, more than
+    # proposal_batch (5), so the texts are embedded and clustered into
+    # tickets.
+    world = make_world(branching=(8,), n_items=400, seed=5)
+    tree = fresh_tree(world)
+    present = world.taxonomy.level1[0]
+    missing = set(world.taxonomy.level1[1:])
+    rules = level1_nodes(world, tree, names=[present])
+    config = BuildConfig()
+    outcome = parallel_assign(list(world.corpus), rules, make_gateway(world))
+    assert len({r.report_text for r in outcome.reports}) > config.proposal_batch
+    items_by_id = {it.item_id: it for it in world.corpus}
+
+    def propose():
+        return propose_changes(outcome.reports, rules, items_by_id, tree.root,
+                               1, config, make_gateway(world), provider)
+
+    proposals, proposal_items, notes = propose()
+    assert len(proposals) == config.proposal_batch and notes == []
+    grouped = sorted(i for items in proposal_items.values() for i in items)
+    assert grouped == sorted(r.item_id for r in outcome.reports)
+    assert len(grouped) == 350
+    proposed = {p.change["new_rule_description"].split(":")[0] for p in proposals}
+    assert proposed <= missing and len(proposed) == len(proposals)
+    again, again_items, _ = propose()
+    assert [p.to_json() for p in again] == [p.to_json() for p in proposals]
+    assert again_items == proposal_items
+
+
 def test_review_and_apply_create_adds_node(small_world):
     tree = fresh_tree(small_world)
     children = level1_nodes(small_world, tree,

@@ -102,6 +102,7 @@ def _two_level_payload():
     ("wrong-depth", "depth"),
     ("missing-parent", "is not in the tree"),
     ("second-root", "parent None is not in the tree"),
+    ("cycle", "is not in the tree"),
 ])
 def test_from_json_rejects_what_add_child_rejects(case, message):
     payload, items, grand = _two_level_payload()
@@ -113,6 +114,8 @@ def test_from_json_rejects_what_add_child_rejects(case, message):
         nodes[grand]["depth"] = 3
     elif case == "missing-parent":
         nodes[grand]["parent"] = make_rule_id("gone")
+    elif case == "cycle":
+        nodes[nodes[grand]["parent"]]["parent"] = grand
     else:
         nodes[make_rule_id("other root")] = nodes[payload["root"]] | {"name": "other"}
     with pytest.raises(VocabularyError, match=message):
@@ -121,9 +124,10 @@ def test_from_json_rejects_what_add_child_rejects(case, message):
 
 @pytest.mark.parametrize("name", ["first", "middle", "last"])
 def test_from_json_names_the_node_whose_depth_is_wrong(name):
-    # Three levels, two depth-2 nodes with two children each; one depth-2
-    # node claims depth 3, so it sorts among the depth-3 nodes, before or
-    # after its own children.
+    # Three levels: one depth-1 node with three depth-2 children of two
+    # leaves each. One depth-2 node claims depth 3; the loader reaches it at
+    # level 2 through its parent, first, middle or last among its siblings,
+    # and ``add_child`` rejects it there, whatever its declared depth.
     tree = _tree()
     kid = tree.fresh_rule_id(tree.root_id, "kid")
     tree.add_child(tree.root_id, DescriptorNode(
@@ -144,7 +148,8 @@ def test_from_json_names_the_node_whose_depth_is_wrong(name):
     wrong = grands[name]
     payload["nodes"][wrong]["depth"] = 3
     with pytest.raises(VocabularyError,
-                       match=rf"^{wrong}: depth 3 in the file, .* at depth 2$"):
+                       match=rf"^{wrong}: depth 3, but its parent {kid} "
+                             r"is at depth 1$"):
         VocabularyTree.from_json(payload, {})
 
 
