@@ -34,9 +34,9 @@ from .corpus import (IngestReport, last_out_split, load_corpus,
 from .gateway import (AgentRole, BudgetExhaustedError, BuildInterrupted,
                       CallLedger, Gateway, HttpBackend, TransportExhaustedError,
                       transcript_latency)
-from .runs import (RunDirError, RunLock, RunPaths, inputs_hash, mark_stage,
-                   read_json, read_jsonl, stage_is_current, unmark_stage,
-                   write_json, write_jsonl)
+from .runs import (RunDirError, RunLock, RunPaths, atomic_open, inputs_hash,
+                   mark_stage, read_json, read_jsonl, stage_is_current,
+                   unmark_stage, write_json, write_jsonl)
 from .vocab import BuildConfig, VocabularyError, VocabularyTree, log_from_json
 
 
@@ -649,6 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_config(path: Path, cfg: RunConfig) -> None:
+    """Snapshot the effective config, leaving the file as it is, bytes and
+    mtime, when it already holds exactly that JSON."""
+    text = json.dumps(asdict(cfg), indent=2, sort_keys=True)
+    try:
+        if path.read_bytes() == text.encode():
+            return
+    except FileNotFoundError:
+        pass
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -657,7 +670,7 @@ def dispatch(argv: list[str]) -> int:
         paths.ensure()
         with RunLock(paths):
             if not paths.config.exists() or args.force or args.config is not None:
-                write_json(paths.config, asdict(cfg), indent=2, sort_keys=True)
+                _write_config(paths.config, cfg)
             return run_stage(STAGES[args.command], StageRun(cfg, paths, args.force))
     except CliError as exc:
         print(f"ERR:{exc.code}: {exc}", file=sys.stderr)

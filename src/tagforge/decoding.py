@@ -14,11 +14,16 @@ scores from a table on the model, one entry per (trie node, context tail),
 filled through ``SurrogateModel.logprob`` on first use. Every score is
 therefore the float ``logprob`` gives, and a count of its calls counts
 table misses.
-An entry lists a node's children best-first by step logprob, so the search
-stops scanning them at the first child that can no longer reach the top
+An entry lists a node's non-terminal children by step logprob and its
+terminal children by step plus EOS logprob, best first, each terminal with
+the largest step and EOS logprob at or after it, so the search stops
+scanning a list at the first child that can no longer reach the top
 ``beam_width`` (the threshold algorithm of Fagin, Lotem & Naor, PODS 2001);
-every pruning test compares exact scores strictly, so the ranking and its
-scores are those of the unpruned search.
+every pruning test compares exact scores or their bounds strictly, so the
+ranking and its scores are those of the unpruned search. Each level's live
+beam and the final ranking are picked by sorting and slicing; with the
+pruning, those lists hold tens of entries, where ``heapq.nsmallest`` costs
+more than ``list.sort`` for the same result.
 A request whose (trie, context tail, beam width, allowed level-1 set) was
 decoded before is answered from a second table on the model, which holds
 each finished ranking, so users who share a tail share one search.
@@ -92,13 +97,15 @@ def build_trie(table: SemidTable) -> DescriptorTrie:
 # A step into a non-terminal child: (step logprob, token, child, child's
 # context tail).
 Step = tuple[float, int, TrieNode, tuple[int, ...]]
-# A step into a terminal child: (step logprob, bound, EOS logprob, token,
-# item id), ``bound`` being the largest EOS logprob at or after it in its list.
-Finish = tuple[float, float, float, int, str]
+# A step into a terminal child: (step logprob, EOS logprob, top step, top
+# EOS, token, item id), the tops being the largest step and the largest EOS
+# logprob at or after it in its list.
+Finish = tuple[float, float, float, float, int, str]
 # A step into any child: (step logprob, child, child's context tail, EOS
 # logprob after the child if it is terminal, else None).
 Hop = tuple[float, TrieNode, tuple[int, ...], float | None]
-# Both lists best-first: step logprob descending, ties in token order.
+# Both lists best-first, ties in token order: steps by step logprob
+# descending, finishes by step + EOS logprob descending.
 Expansion = tuple[list[Step], list[Finish], dict[int, Hop]]
 
 
@@ -175,11 +182,13 @@ class SurrogateModel:
                    context: tuple[int, ...]) -> Expansion:
         """Every step out of trie ``node`` after ``context``, the tail of at
         most order-1 tokens that the model reads: a ``Step`` per
-        non-terminal child and a ``Finish`` per terminal child, each list
-        sorted by step logprob, highest first and ties in token order, and
-        a ``Hop`` per child by token, for :meth:`score_path`. A terminal's
-        ``bound`` is the largest EOS logprob at or after it in its list, so
-        no later terminal finishes above ``(score + step) + bound``.
+        non-terminal child, sorted by step logprob, a ``Finish`` per
+        terminal child, sorted by step plus EOS logprob, both highest first
+        and ties in token order, and a ``Hop`` per child by token, for
+        :meth:`score_path`. A terminal carries the largest step and the
+        largest EOS logprob at or after it in its list; rounded addition is
+        monotone in each argument, so no terminal from there on finishes
+        above ``(score + top step) + top EOS``.
 
         Filled on first use through :meth:`logprob`, so each number is the
         one it returns, and kept until the next :meth:`observe_streams`; this
@@ -209,12 +218,12 @@ class SurrogateModel:
                 hops[token] = (step, child, next_ctx, eos)
             # Python's sort is stable, reverse=True included.
             steps.sort(key=itemgetter(0), reverse=True)
-            ends.sort(key=itemgetter(0), reverse=True)
+            ends.sort(key=lambda end: end[0] + end[1], reverse=True)
             finishes = []
-            bound = -math.inf
+            top_step = top_eos = -math.inf
             for step, eos, token, item_id in reversed(ends):
-                bound = max(bound, eos)
-                finishes.append((step, bound, eos, token, item_id))
+                top_step, top_eos = max(top_step, step), max(top_eos, eos)
+                finishes.append((step, eos, top_step, top_eos, token, item_id))
             finishes.reverse()
             entry = self._expansions[key] = (steps, finishes, hops)
         return entry
@@ -339,12 +348,14 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
     best ``beam_width`` live candidates of the current level and the best
     ``beam_width`` finished items of all levels. Once a heap is full, the
     scan of a best-first child list stops at the first child whose
-    ``score + step`` (for a terminal, ``(score + step) + bound``) is
+    ``score + step`` (for a terminal, ``(score + top step) + top EOS``) is
     strictly below that heap's least score, and a terminal whose exact
     ``(score + step) + EOS`` is strictly below it is skipped. Rounded
     addition is monotone and ties are never cut, so the ranking and its
     scores are exactly those of the unpruned search, which expands the same
-    live hypotheses and asks ``model.logprob`` as often.
+    live hypotheses and asks ``model.logprob`` as often. Each level's
+    survivors and the final ranking are the head of the sorted candidates,
+    ties broken by generated tokens and by item id.
 
     The search reads nothing of ``history`` but its last order-1 tokens, so
     its ranking is kept on the model under (``trie.root``, that tail,
@@ -406,25 +417,27 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
                 else:
                     heapq.heapreplace(best, total)
                 next_live.append((-total, gen + (token,), child, next_ctx))
-            for step, bound, eos, token, item_id in finishes:
+            for step, eos, top_step, top_eos, token, item_id in finishes:
                 if allowed is not None and token not in allowed:
                     continue
-                total = score + step
                 if len(done) < beam_width:
-                    total += eos
+                    total = (score + step) + eos
                     heapq.heappush(done, total)
                 else:
-                    if total + bound < done[0]:
+                    if (score + top_step) + top_eos < done[0]:
                         break
-                    total += eos
+                    total = (score + step) + eos
                     if total < done[0]:
                         continue
                     heapq.heapreplace(done, total)
                 finished.append((-total, item_id))
-        live = heapq.nsmallest(beam_width, next_live)
+        # Generated tokens differ between live hypotheses, so a tie on score
+        # is broken there and two nodes are never compared.
+        next_live.sort()
+        live = next_live[:beam_width]
         allowed = None
-    return [(item_id, -neg)
-            for neg, item_id in heapq.nsmallest(beam_width, finished)]
+    finished.sort()
+    return [(item_id, -neg) for neg, item_id in finished[:beam_width]]
 
 
 def simulate_user(item_id: str, corpus: Corpus, table: SemidTable,

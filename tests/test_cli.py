@@ -199,6 +199,31 @@ def test_stages_are_idempotent(workspace, capsys):
     assert (root / "run/ledger.jsonl").read_bytes() == ledger_before
 
 
+def test_a_skip_leaves_the_config_snapshot_alone(workspace, tmp_path, capsys):
+    """A run whose effective config is the snapshot's leaves its bytes and
+    mtime as they were; a flag that changes the config rewrites it, even
+    when the stage itself skips."""
+    root, config_path, _ = workspace
+    run_dir = tmp_path / "run"
+    shutil.copytree(root / "run", run_dir)
+    config = {**read_json(config_path), "run_dir": str(run_dir)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run(config_path, "fit") == 0  # re-fits: the run directory moved
+    snapshot = run_dir / "config.json"
+    os.utime(snapshot, ns=(10**9, 10**9))
+    written = snapshot.read_bytes()
+    capsys.readouterr()
+    assert run(config_path, "fit") == 0
+    assert capsys.readouterr().out == "fit: up to date, skipping\n"
+    assert snapshot.read_bytes() == written
+    assert snapshot.stat().st_mtime_ns == 10**9
+    assert run(config_path, "fit", "--beam", "10") == 0
+    assert capsys.readouterr().out == "fit: up to date, skipping\n"
+    assert read_json(snapshot) == json.loads(written) | {"beam_width": 10}
+    assert snapshot.stat().st_mtime_ns != 10**9
+
+
 def test_model_file_has_version_header(workspace):
     root, _, _ = workspace
     payload = json.loads((root / "run/model.bin").read_text())

@@ -389,36 +389,36 @@ def test_beam_equals_reference_decoder(decode_setup, order, alpha, monkeypatch):
 
 def _assert_best_first(model):
     """Every expansion entry holds each child of its node once, with the
-    scores ``logprob`` gives, both lists best-first (ties in token order),
-    each terminal's bound is the largest EOS at or after it, and the hop of
-    each token repeats its list entry."""
+    scores ``logprob`` gives, steps by step logprob and finishes by step
+    plus EOS logprob, both descending with ties in token order, each
+    terminal's tops are the largest step and the largest EOS at or after
+    it, and the hop of each token repeats its list entry."""
     for (node, ctx), (steps, finishes, hops) in model._expansions.items():
         keep = model.order - 1
-        assert sorted([e[1] for e in steps] + [e[3] for e in finishes]) == \
+        assert sorted([e[1] for e in steps] + [e[4] for e in finishes]) == \
             sorted(node.children)
         for step, token, child, next_ctx in steps:
             assert child is node.children[token] and child.item_id is None
             assert step == model.logprob(token, ctx)
             assert next_ctx == ((ctx + (token,))[-keep:] if keep else ())
-        for step, _, eos, token, item_id in finishes:
+        for step, eos, _, _, token, item_id in finishes:
             assert item_id is not None
             assert item_id == node.children[token].item_id
             assert step == model.logprob(token, ctx)
             tail = (ctx + (token,))[-keep:] if keep else ()
             assert eos == model.logprob(model.eos_token, tail)
-        # Step logprob descending, ties in token order.
         for order in ([(-e[0], e[1]) for e in steps],
-                      [(-e[0], e[3]) for e in finishes]):
+                      [(-(e[0] + e[1]), e[4]) for e in finishes]):
             assert order == sorted(order)
-        eos = [e[2] for e in finishes]
-        assert [e[1] for e in finishes] == [max(eos[k:])
-                                            for k in range(len(eos))]
+        for k, (_, _, top_step, top_eos, _, _) in enumerate(finishes):
+            assert top_step == max(e[0] for e in finishes[k:])
+            assert top_eos == max(e[1] for e in finishes[k:])
         assert hops == (
             {token: (step, child, next_ctx, None)
              for step, token, child, next_ctx in steps}
             | {token: (step, node.children[token],
                        (ctx + (token,))[-keep:] if keep else (), eos)
-               for step, _, eos, token, _ in finishes})
+               for step, eos, _, _, token, _ in finishes})
 
 
 def test_expansions_are_best_first_with_suffix_bounds(decode_setup):
@@ -431,6 +431,44 @@ def test_expansions_are_best_first_with_suffix_bounds(decode_setup):
                 beam_decode(model, history, trie, width, allowed)
             assert any(len(e[1]) > 1 for e in model._expansions.values())
             _assert_best_first(model)
+
+
+@pytest.fixture(scope="module")
+def filled_models(decode_setup):
+    """A model per (order, alpha), its expansion table filled by full
+    searches from a few users' histories."""
+    _, _, _, table, split, _, trie = decode_setup
+    models = {}
+    for order in (1, 2, 3, 4):
+        for alpha in (0.0, 0.1):
+            model = models[order, alpha] = fit_surrogate(split, table, order,
+                                                         alpha)
+            for user_id in sorted(split.test)[:3]:
+                history = encode_history(table, split.train[user_id], order)
+                beam_decode(model, history, trie, trie.n_terminals)
+    return models
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(1, 4), alpha=st.sampled_from([0.0, 0.1]),
+       scores=st.lists(st.one_of(st.floats(-60.0, 0.0),
+                                 st.just(-math.inf)), min_size=1, max_size=4))
+def test_a_terminal_bound_holds_every_later_terminal(filled_models, order,
+                                                     alpha, scores):
+    """``(s + top step) + top EOS`` of a terminal is at least the exact
+    ``(s + step) + EOS`` of it and of every terminal after it, for any
+    score ``s`` a hypothesis can carry; alpha 0 gives ``-inf`` logprobs."""
+    model = filled_models[order, alpha]
+    finish_lists = [e[1] for e in model._expansions.values() if e[1]]
+    assert any(len(f) > 1 for f in finish_lists)
+    if alpha == 0.0 and order > 1:
+        assert any(-math.inf in f[:2] for fs in finish_lists for f in fs)
+    for finishes in finish_lists:
+        for i, (_, _, top_step, top_eos, _, _) in enumerate(finishes):
+            for s in scores:
+                bound = (s + top_step) + top_eos
+                for step, eos, _, _, _, _ in finishes[i:]:
+                    assert bound >= (s + step) + eos
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -545,6 +583,33 @@ def test_pruned_beam_equals_reference_on_random_tries(world, order, alpha):
             assert beam_decode(model, history, trie, width, allowed) == \
                 reference_beam_decode(model, history, trie, width, allowed)
     _assert_best_first(model)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_ties_are_broken_by_tokens_as_the_reference_does(depth):
+    """Siblings with equal counts: every live hypothesis of a level ties on
+    score, and every item ties with every other. The search breaks the ties
+    by generated tokens and item id, as the reference does, at every width,
+    plain and critiqued, and never compares two trie nodes."""
+    paths = [()]
+    for _ in range(depth):
+        paths = [p + (t,) for p in paths for t in (3, 4, 5)]
+    items = [p + (6,) for p in paths]
+    trie = DescriptorTrie()
+    for k, tokens in enumerate(items):
+        trie.insert(tokens, f"i{k:02d}")
+    for order in (1, 2, 3):
+        model = SurrogateModel(order=order, alpha=0.1, vocab_size=7)
+        model.observe_streams(_token_stream(items, [k], order)
+                              for k in range(len(items)))
+        history = tuple(_token_stream(items, [0], order)[:-1] + [2])
+        for width in range(1, trie.n_terminals + 2):
+            for allowed in (None, {4}, {3, 5}):
+                assert beam_decode(model, history, trie, width, allowed) == \
+                    reference_beam_decode(model, history, trie, width,
+                                          allowed)
+        full = beam_decode(model, history, trie, trie.n_terminals)
+        assert len({score for _, score in full}) == 1
 
 
 def test_threads_decoding_on_one_model_get_the_reference(decode_setup):
