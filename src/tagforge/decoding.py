@@ -1,5 +1,5 @@
 """Semantic-ID decoding: descriptor trie, count-based sequence model, and
-(trie- and critique-constrained) beam search.
+trie-constrained beam search.
 
 The surrogate scorer is an order-m n-gram model with additive smoothing
 fitted on train-split user histories flattened to token streams, a boundary
@@ -24,9 +24,12 @@ ranking and its scores are those of the unpruned search. Each level's live
 beam and the final ranking are picked by sorting and slicing; with the
 pruning, those lists hold tens of entries, where ``heapq.nsmallest`` costs
 more than ``list.sort`` for the same result.
-A request whose (trie, context tail, beam width, allowed level-1 set) was
-decoded before is answered from a second table on the model, which holds
-each finished ranking, so users who share a tail share one search.
+A critique is a smaller trie, not a branch in the search: its root holds
+only the allowed level-1 children (:meth:`DescriptorTrie.narrowed`) and
+shares every node below with the full trie. A request whose (root, context
+tail, beam width) was decoded before is answered from a second table on the
+model, which holds each finished ranking, so users who share a tail share
+one search.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ class DescriptorTrie:
     def __init__(self) -> None:
         self.root = TrieNode()
         self.n_terminals = 0
+        self._narrowed: dict[frozenset[int], TrieNode] = {}
 
     def insert(self, tokens: Sequence[int], item_id: str) -> None:
         node = self.root
@@ -81,8 +85,24 @@ class DescriptorTrie:
         node.item_id = item_id
         self.n_terminals += 1
 
-    def level1_tokens(self) -> set[int]:
-        return set(self.root.children)
+    def narrowed(self, allowed: Iterable[int]) -> TrieNode:
+        """A root holding only the ``allowed`` level-1 children, the same
+        objects as :attr:`root`'s, so every node below, and its expansion
+        entry, is shared. One root per distinct set, kept on the trie;
+        threads that race on a set keep the first one stored."""
+        key = frozenset(allowed)
+        node = self._narrowed.get(key)
+        if node is None:
+            if not key:
+                raise DecodingError("allowed level-1 token set is empty")
+            children = self.root.children
+            extra = key - children.keys()
+            if extra:
+                raise DecodingError(
+                    f"allowed tokens not at level 1: {sorted(extra)}")
+            node = self._narrowed.setdefault(key, TrieNode(
+                {t: child for t, child in children.items() if t in key}))
+        return node
 
 
 def build_trie(table: SemidTable) -> DescriptorTrie:
@@ -128,10 +148,9 @@ class SurrogateModel:
         self.context_totals: dict[tuple[int, ...], int] = {}
         self._expansions: dict[tuple[TrieNode, tuple[int, ...]],
                                Expansion] = {}
-        # (trie root, context tail, beam width, allowed level-1 set or None)
-        # -> finished ranking; filled by :func:`beam_decode`
-        self._rankings: dict[tuple[TrieNode, tuple[int, ...], int,
-                                   frozenset[int] | None],
+        # (trie root or narrowed root, context tail, beam width) -> finished
+        # ranking; filled by :func:`beam_decode`
+        self._rankings: dict[tuple[TrieNode, tuple[int, ...], int],
                              list[tuple[str, float]]] = {}
 
     def observe_streams(self, streams: Iterable[Sequence[int]]) -> None:
@@ -198,8 +217,9 @@ class SurrogateModel:
         never see a partial one. Since every history ends in the boundary
         token, below the first level (order 3) a context tail is fixed by
         the trie path, and one entry serves every request. Nodes key by
-        identity, so several tries can share a model; a trie must not
-        change once decoded.
+        identity, so several tries can share a model, and a narrowed root
+        (:meth:`DescriptorTrie.narrowed`) is one more such root, with an
+        entry of its own; a trie must not change once decoded.
         """
         key = (node, context)
         entry = self._expansions.get(key)
@@ -337,10 +357,10 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
 
     Scores are pure cumulative log-probabilities (no length normalization);
     hypotheses finalize when the trie terminal takes its EOS step. With
-    ``allowed_level1`` the first generated token is restricted to that set,
-    so every returned item carries an allowed level-1 token. With
-    ``beam_width`` at least the number of trie terminals the result equals
-    exhaustive enumeration.
+    ``allowed_level1`` the search starts from ``trie.narrowed(allowed_level1)``
+    instead of ``trie.root``, so every returned item carries an allowed
+    level-1 token. With ``beam_width`` at least the number of trie terminals
+    the result equals exhaustive enumeration.
 
     A hypothesis is expanded by walking ``model.expansions`` for its node
     and context tail, so each score is computed once per (node, tail), not
@@ -358,38 +378,30 @@ def beam_decode(model: SurrogateModel, history: tuple[int, ...],
     ties broken by generated tokens and by item id.
 
     The search reads nothing of ``history`` but its last order-1 tokens, so
-    its ranking is kept on the model under (``trie.root``, that tail,
-    ``beam_width``, ``allowed_level1``) until the next
-    :meth:`SurrogateModel.observe_streams`, and a request with the same key
-    is answered from it without a search; each call returns a new list. The
-    table holds at most one ranking per distinct key requested: on the demo
-    world, 32 plain entries for 500 test users plus at most 128 critiqued
-    ones per stage (32 tails x 4 level-1 sections), and on the Sports decode
-    benchmark at most 36 + 288. Two threads that miss on one key at once
-    both search and store equal rankings, which is harmless.
+    its ranking is kept on the model under (the root searched, that tail,
+    ``beam_width``) until the next :meth:`SurrogateModel.observe_streams`,
+    and a request with the same key is answered from it without a search;
+    each call returns a new list. The table holds at most one ranking per
+    distinct key requested: on the demo world, 32 plain entries for 500 test
+    users plus at most 128 critiqued ones per stage (32 tails x 4 level-1
+    sections), and on the Sports decode benchmark at most 36 + 288. Two
+    threads that miss on one key at once both search and store equal
+    rankings, which is harmless.
     """
     if beam_width < 1:
         raise DecodingError("beam width must be >= 1")
-    if allowed_level1 is not None:
-        if not allowed_level1:
-            raise DecodingError("allowed level-1 token set is empty")
-        extra = allowed_level1 - trie.level1_tokens()
-        if extra:
-            raise DecodingError(f"allowed tokens not at level 1: {sorted(extra)}")
+    root = trie.root if allowed_level1 is None else trie.narrowed(allowed_level1)
     keep = model.order - 1
     tail = history[-keep:] if keep else ()
-    key = (trie.root, tail, beam_width,
-           None if allowed_level1 is None else frozenset(allowed_level1))
+    key = (root, tail, beam_width)
     ranked = model._rankings.get(key)
     if ranked is None:
-        ranked = model._rankings[key] = _search(model, tail, trie.root,
-                                                beam_width, allowed_level1)
+        ranked = model._rankings[key] = _search(model, tail, root, beam_width)
     return list(ranked)
 
 
 def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
-            beam_width: int,
-            allowed_level1: set[int] | None) -> list[tuple[str, float]]:
+            beam_width: int) -> list[tuple[str, float]]:
     # Hypotheses carry only the context tail the model reads; live ones are
     # (-score, generated tokens, node, tail), finished ones (-score, item),
     # so that plain tuple order is the ranking and its tie-break. ``best``
@@ -399,7 +411,6 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
     live = [(-0.0, (), root, tail)]
     finished: list[tuple[float, str]] = []
     done: list[float] = []
-    allowed = allowed_level1
     while live:
         next_live = []
         best: list[float] = []
@@ -407,8 +418,6 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
             score = -neg
             steps, finishes, _ = model.expansions(node, ctx)
             for step, token, child, next_ctx in steps:
-                if allowed is not None and token not in allowed:
-                    continue
                 total = score + step
                 if len(best) < beam_width:
                     heapq.heappush(best, total)
@@ -418,8 +427,6 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
                     heapq.heapreplace(best, total)
                 next_live.append((-total, gen + (token,), child, next_ctx))
             for step, eos, top_step, top_eos, token, item_id in finishes:
-                if allowed is not None and token not in allowed:
-                    continue
                 if len(done) < beam_width:
                     total = (score + step) + eos
                     heapq.heappush(done, total)
@@ -435,7 +442,6 @@ def _search(model: SurrogateModel, tail: tuple[int, ...], root: TrieNode,
         # is broken there and two nodes are never compared.
         next_live.sort()
         live = next_live[:beam_width]
-        allowed = None
     finished.sort()
     return [(item_id, -neg) for neg, item_id in finished[:beam_width]]
 

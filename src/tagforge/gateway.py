@@ -141,15 +141,6 @@ class CallLedger:
                 and (template_id is None or t == template_id)
             )
 
-    def retries(self, role: AgentRole | None = None,
-                template_id: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                s.retries for (r, t), s in self._totals().items()
-                if (role is None or r == role.value)
-                and (template_id is None or t == template_id)
-            )
-
     def snapshot(self) -> dict[str, dict[str, int]]:
         with self._lock:
             return {

@@ -168,7 +168,7 @@ def reference_beam_decode(model: SurrogateModel, history: tuple[int, ...],
     if allowed_level1 is not None:
         if not allowed_level1:
             raise DecodingError("allowed level-1 token set is empty")
-        extra = allowed_level1 - trie.level1_tokens()
+        extra = allowed_level1 - level1_tokens(trie)
         if extra:
             raise DecodingError(f"allowed tokens not at level 1: {sorted(extra)}")
     keep = model.order - 1
@@ -243,6 +243,11 @@ def trie_lookup(trie: DescriptorTrie, tokens: list[int]) -> str | None:
         if node is None:
             return None
     return node.item_id
+
+
+def level1_tokens(trie: DescriptorTrie) -> set[int]:
+    """The first tokens of the trie's items."""
+    return set(trie.root.children)
 
 
 def reference_extract_json(raw: str):

@@ -24,7 +24,7 @@ from tagforge.corpus import last_out_split
 from tagforge.vocab import DescriptorNode, VocabularyTree
 
 from conftest import FaultBackend, make_gateway
-from oracles import (enumerate_rank, reference_beam_decode,
+from oracles import (enumerate_rank, level1_tokens, reference_beam_decode,
                      reference_observe_stream, surrogate_prob, trie_lookup)
 
 
@@ -44,7 +44,7 @@ def test_build_trie_two_disjoint_items():
     assert trie_lookup(trie, [3, 5, 7]) == "i1"
     assert trie_lookup(trie, [4, 6, 7]) == "i2"
     assert trie_lookup(trie, [3, 6, 7]) is None
-    assert trie.level1_tokens() == {3, 4}
+    assert level1_tokens(trie) == {3, 4}
 
 
 def test_build_trie_rejects_duplicate_sequences():
@@ -77,7 +77,7 @@ def test_trie_level1_fanout_sixteen():
         records.append(AssignmentRecord(item_id=f"i{k}", path=(rid,)))
     table = export_semids(resolve_collisions(records), tree)
     trie = build_trie(table)
-    assert len(trie.level1_tokens()) == 16
+    assert len(level1_tokens(trie)) == 16
 
 
 def test_surrogate_hand_count_single_transition():
@@ -568,7 +568,7 @@ def test_pruned_beam_equals_reference_on_random_tries(world, order, alpha):
                            vocab_size=1 + max(max(t) for t in items))
     model.observe_streams(_token_stream(items, s, order) for s in streams)
     history = tuple(_token_stream(items, picks, order)[:-1] + [2])
-    allowed = critique & trie.level1_tokens() or None
+    allowed = critique & level1_tokens(trie) or None
     for width in range(1, trie.n_terminals + 2):
         # On cold tables the pruned search expands the reference's live
         # hypotheses, so it asks the scorer exactly as often.
@@ -656,7 +656,7 @@ def test_each_width_and_allowed_set_has_its_own_ranking(decode_setup):
     _, _, _, table, split, _, trie = decode_setup
     model = fit_surrogate(split, table, order=3, alpha=0.1)
     history = encode_history(table, split.train[sorted(split.test)[0]], 3)
-    a, b = sorted(trie.level1_tokens())[:2]
+    a, b = sorted(level1_tokens(trie))[:2]
     requests = [(history, width, allowed) for allowed in (None, {a}, {a, b})
                 for width in (5, 20)]
     for _ in range(2):
@@ -706,7 +706,7 @@ def test_beam_rejects_bad_arguments(decode_setup):
     history = encode_history(table, split.train[sorted(split.test)[0]],
                              model.order)
     # A warm ranking table answers no bad request.
-    for level1 in trie.level1_tokens():
+    for level1 in level1_tokens(trie):
         beam_decode(model, history, trie, beam_width=5, allowed_level1={level1})
     beam_decode(model, history, trie, beam_width=5)
     with pytest.raises(DecodingError):
@@ -716,6 +716,65 @@ def test_beam_rejects_bad_arguments(decode_setup):
     with pytest.raises(DecodingError):
         beam_decode(model, history, trie, beam_width=5,
                     allowed_level1={999999})
+
+
+def test_a_critique_narrows_the_root_and_shares_the_subtrees(decode_setup):
+    _, _, _, table, split, _, trie = decode_setup
+    model = fit_surrogate(split, table, order=3, alpha=0.1)
+    a, b = sorted(level1_tokens(trie))[:2]
+    narrowed = trie.narrowed(frozenset({a, b}))
+    assert trie.narrowed({a, b}) is narrowed
+    assert trie.narrowed([b, a]) is narrowed
+    assert narrowed.children.keys() == {a, b}
+    for token, child in narrowed.children.items():
+        assert child is trie.root.children[token]
+    with pytest.raises(DecodingError,
+                       match=r"^allowed level-1 token set is empty$"):
+        trie.narrowed(set())
+    with pytest.raises(DecodingError,
+                       match=r"^allowed tokens not at level 1: \[999999\]$"):
+        trie.narrowed({a, 999999})
+    # A plain search as wide as the trie fills the entry of every node on
+    # this tail; a critique then adds only its narrowed root's.
+    history = encode_history(table, split.train[sorted(split.test)[0]], 3)
+    beam_decode(model, history, trie, trie.n_terminals)
+    for allowed in ({a}, {a, b}):
+        ranked, calls = _logprob_calls(model, beam_decode, history, trie, 20,
+                                       allowed)
+        own = sum(1 + (trie.root.children[t].item_id is not None)
+                  for t in allowed)
+        assert calls == own
+        assert ranked == reference_beam_decode(model, history, trie, 20,
+                                               allowed)
+
+
+def test_threads_that_race_on_a_critique_share_one_root(decode_setup):
+    _, _, _, table, _, _, trie = decode_setup
+    tokens = sorted(level1_tokens(trie))
+    sets = [frozenset(t for k, t in enumerate(tokens) if mask >> k & 1)
+            for mask in range(1, 1 << len(tokens))]
+    fresh = [build_trie(table) for _ in range(20)]
+    start = threading.Barrier(6)
+    seen = []
+
+    def narrow_all():
+        start.wait(timeout=60)
+        seen.append([each.narrowed(s) for each in fresh for s in sets])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=narrow_all) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    kept = [each.narrowed(s) for each in fresh for s in sets]
+    assert len(seen) == len(threads)
+    assert all(a is b for roots in seen for a, b in zip(roots, kept))
 
 
 def test_special_tokens_built_once():
@@ -757,12 +816,12 @@ def test_simulate_user_llm_matches_oracle(decode_setup):
 def test_simulate_user_names_closed_vocabulary(decode_setup):
     world, tree, _, table, _, _, _ = decode_setup
     gateway = make_gateway(world)
-    level1_tokens = {t for t, name in table.token_map.items()
-                     if name in {n.rule_id for n in tree.children_of(tree.root_id)}}
+    sections = {t for t, name in table.token_map.items()
+                if name in {n.rule_id for n in tree.children_of(tree.root_id)}}
     for row in table.rows[:10]:
         allowed = simulate_user(row.item_id, world.corpus, table, tree,
                                 mode="llm", gateway=gateway)
-        assert allowed <= level1_tokens
+        assert allowed <= sections
 
 
 def test_simulate_user_llm_parse_failure_falls_back(decode_setup):
@@ -820,7 +879,7 @@ def test_simulate_user_offers_only_sections_that_hold_an_item(decode_setup):
     allowed = simulate_user(split.test[user_id], world.corpus, table, tree,
                             mode="llm", gateway=gateway)
     assert table.token_of[empty.rule_id] not in allowed
-    assert allowed == trie.level1_tokens()
+    assert allowed == level1_tokens(trie)
     assert "Empty" not in prompts[0]
     history = encode_history(table, split.train[user_id], model.order)
     assert beam_decode(model, history, trie, beam_width=5, allowed_level1=allowed)

@@ -58,7 +58,7 @@ def test_retries_then_success_recorded():
     gateway = _gateway(backend, max_retries=3)
     out = gateway.complete(AgentRole.ANNOTATOR, "hello", "AssignItem")
     assert out == "ok:5"
-    assert gateway.ledger.retries(AgentRole.ANNOTATOR, "AssignItem") == 2
+    assert gateway.ledger.snapshot()["annotator/AssignItem"]["retries"] == 2
     assert gateway.ledger.calls(AgentRole.ANNOTATOR, "AssignItem") == 1
 
 
@@ -67,7 +67,8 @@ def test_transport_exhausted_after_max_retries():
     gateway = _gateway(backend, max_retries=3)
     with pytest.raises(TransportExhaustedError):
         gateway.complete(AgentRole.ANNOTATOR, "hello", "AssignItem")
-    assert gateway.ledger.retries() == 4  # initial + 3 retries all failed
+    # initial + 3 retries all failed
+    assert sum(row["retries"] for row in gateway.ledger.snapshot().values()) == 4
     assert gateway.ledger.calls() == 0
 
 
@@ -453,7 +454,8 @@ def test_ledger_totals_are_exact_under_thread_switches(tmp_path):
     assert snapshots == sorted(snapshots)
     total = n_threads * n_calls
     assert ledger.calls(AgentRole.ANNOTATOR) == total
-    assert ledger.retries() == n_threads * len(range(0, n_calls, 3))
+    assert sum(row["retries"] for row in ledger.snapshot().values()) \
+        == n_threads * len(range(0, n_calls, 3))
     assert ledger.calls(AgentRole.ARCHITECT, "Seed") == 2
     assert sum(row["token_estimate"] for row in ledger.snapshot().values()) \
         == total * 4 + 2 * 2
