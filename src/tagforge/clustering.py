@@ -6,10 +6,10 @@ is classic PAM (greedy BUILD, then best-improvement SWAP) over Euclidean
 distances; K-Means is k-means++ seeded Lloyd iteration.
 
 PAM adds seeded random restarts only on instances of at most 40 + 2k
-points, the sample size CLARA runs PAM on (Kaufman & Rousseeuw, "Finding
-Groups in Data", 1990). There a descent is cheap, and BUILD + SWAP alone
-misses the optimum of 4 to 6 in 100 random instances of n <= 8. Above it
-each restart costs as much as a full descent, and on the demo's node-sized
+points, classic CLARA's sample size (Kaufman & Rousseeuw, "Finding Groups
+in Data", 1990). There a descent is cheap, and BUILD + SWAP alone misses
+the optimum of 4 to 6 in 100 random instances of n <= 8. Above it each
+restart costs as much as a full descent, and on the demo's node-sized
 instances (n of 124 to 512, k = 15) the restarts lowered the cost by at
 most 0.12%.
 
@@ -21,6 +21,11 @@ over the points the removed medoid owns (Schubert & Rousseeuw, "Fast and
 eager k-medoids clustering", Information Systems 2021). It then takes the
 first minimum in (medoid, candidate) order; swaps of equal cost in exact
 arithmetic may resolve differently under rounding.
+
+``distill`` never builds a matrix over more than 80 + 4k points. Above
+that it runs CLARA: PAM on seeded samples of that size, each medoid set
+scored on all points, so its memory is O(n (d + k)) plus one sample's
+matrix (the module constants below say how many samples, and why).
 """
 
 from __future__ import annotations
@@ -214,6 +219,16 @@ def _swap_descent(dist: np.ndarray, medoids: list[int],
 
 _RESTARTS = 6
 _MAX_SWAP_ITER = 100
+# CLARA in ``distill``: samples per call, and sample size 80 + 4k. Kaufman &
+# Rousseeuw's classic setting is 5 samples of 40 + 2k; Schubert & Rousseeuw
+# (2021) pair CLARA with larger samples once SWAP is cheap. On Sports-scale
+# planted worlds (18,357 items, k = 15, seeds 7 and 11) 10 x (80 + 4k) put
+# the full-data cost 1.5-1.6% above PAM's on an average non-root node and
+# 5.1-5.3% above at the root. 5 x (40 + 2k) sent the root into a second
+# refinement cycle and raised the build's LLM calls by 40% (seed 7).
+_CLARA_SAMPLES = 10
+_CLARA_BASE = 80
+_CLARA_PER_MEDOID = 4
 
 
 def k_medoids(vectors: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
@@ -226,9 +241,10 @@ def k_medoids(vectors: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
     Swaps of equal cost in exact arithmetic may resolve differently under
     rounding, and so may the descent that follows.
     SWAP alone can stall in a single-swap local optimum, so instances of
-    at most 40 + 2k points (CLARA's sample size) additionally descend from
-    ``_RESTARTS`` seeded random starts and keep the best result; larger
-    instances use the BUILD start only (the module docstring says why).
+    at most 40 + 2k points (classic CLARA's sample size) additionally
+    descend from ``_RESTARTS`` seeded random starts and keep the best
+    result; larger instances, ``distill``'s CLARA samples among them, use
+    the BUILD start only (the module docstring says why).
     Each descent makes at most ``_MAX_SWAP_ITER`` swaps.
     Deterministic for a fixed seed.
     """
@@ -306,12 +322,29 @@ def k_means(vectors: np.ndarray, k: int, seed: int = 0,
                          centroids=centers)
 
 
+def _nearest_medoid_cost(vectors: np.ndarray, sq: np.ndarray,
+                         medoids: list[int]) -> float:
+    """Sum over all points of the distance to the nearest of ``medoids``,
+    by :func:`_distance_matrix`'s formula on one k x n array."""
+    dist = (-2.0 * vectors[medoids]) @ vectors.T
+    dist += sq[medoids, None] + sq[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    dist[np.arange(len(medoids)), medoids] = 0.0
+    return float(np.sqrt(dist, out=dist).min(axis=0).sum())
+
+
 def distill(elements: Sequence, k: int, provider,
             seed: int = 0, text_of: Callable = str) -> list:
     """Diverse representatives: embed, run K-Medoids, return the medoids.
 
-    Output preserves input order and is always a subset of the input;
-    ``k >= len(elements)`` returns the input unchanged.
+    Up to 80 + 4k elements this is :func:`k_medoids` on all of them. Above
+    it, CLARA (Kaufman & Rousseeuw, "Finding Groups in Data", 1990): draw
+    ``_CLARA_SAMPLES`` seeded samples of 80 + 4k distinct elements, run
+    :func:`k_medoids` on each, score each medoid set by every element's
+    distance to its nearest medoid, and keep the lowest (cost, sorted
+    indices). Output preserves input order and is always a subset of the
+    input; ``k >= len(elements)`` returns the input unchanged.
+    Deterministic for a fixed seed.
     """
     elements = list(elements)
     if not elements:
@@ -320,5 +353,19 @@ def distill(elements: Sequence, k: int, provider,
         return elements
     texts = [text_of(e) for e in elements]
     vectors = embed_batch(provider, texts)
-    result = k_medoids(vectors, k, seed=seed)
-    return [elements[i] for i in sorted(result.medoid_indices)]
+    n = len(elements)
+    size = _CLARA_BASE + _CLARA_PER_MEDOID * k
+    if n <= size:
+        result = k_medoids(vectors, k, seed=seed)
+        return [elements[i] for i in sorted(result.medoid_indices)]
+    rng = np.random.default_rng(seed)
+    sq = np.sum(vectors ** 2, axis=1)
+    best: tuple[float, list[int]] | None = None
+    for _ in range(_CLARA_SAMPLES):
+        sample = np.sort(rng.choice(n, size=size, replace=False))
+        result = k_medoids(vectors[sample], k, seed=seed)
+        medoids = sorted(sample[result.medoid_indices].tolist())
+        key = (_nearest_medoid_cost(vectors, sq, medoids), medoids)
+        if best is None or key < best:
+            best = key
+    return [elements[i] for i in best[1]]

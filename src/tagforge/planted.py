@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -31,8 +32,11 @@ def tokenize(text: str) -> set[str]:
     return set(_TOKEN_RE.findall(text.lower()))
 
 
+_NAME_COUNT = len(_SYLLABLES) ** 3
+
+
 def _node_name(index: int) -> str:
-    # Three-syllable names: unique whole tokens, 4096 available.
+    # Three-syllable names: unique whole tokens, _NAME_COUNT available.
     a, rem = divmod(index, 256)
     b, c = divmod(rem, 16)
     return _SYLLABLES[a] + _SYLLABLES[b] + _SYLLABLES[c]
@@ -161,19 +165,44 @@ def load_taxonomy(path: str | Path) -> PlantedTaxonomy:
     return PlantedTaxonomy.from_json(read_json(path)["taxonomy"])
 
 
+def _fanouts(text: str) -> tuple[int, ...]:
+    """``--branching``: comma-separated fanouts >= 1, within the name space."""
+    try:
+        branching = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        branching = ()
+    if not branching or min(branching) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
+    nodes = sum(math.prod(branching[:depth + 1]) for depth in range(len(branching)))
+    if nodes > _NAME_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} makes {nodes} taxonomy nodes, at most {_NAME_COUNT} have names")
+    return branching
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Generate a planted demo dataset (corpus, interactions, world).")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--branching", default="4,4,4",
+    parser.add_argument("--branching", type=_fanouts, default="4,4,4",
                         help="comma-separated fanout per level")
-    parser.add_argument("--items", type=int, default=2000)
-    parser.add_argument("--users", type=int, default=500)
+    parser.add_argument("--items", type=_at_least_one, default=2000)
+    parser.add_argument("--users", type=_at_least_one, default=500)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    branching = tuple(int(x) for x in args.branching.split(","))
-    world = make_world(branching=branching, n_items=args.items, seed=args.seed)
+    world = make_world(branching=args.branching, n_items=args.items, seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     write_corpus(world.corpus, args.out / "corpus.jsonl")
     interactions = make_interactions(world, n_users=args.users, seed=args.seed + 1)

@@ -103,6 +103,25 @@ def reference_k_medoids(vectors: np.ndarray, k: int,
         return clustering.k_medoids(vectors, k, seed=seed)
 
 
+def reference_clara(vectors: np.ndarray, k: int, seed: int = 0) -> list[int]:
+    """CLARA as ``clustering.distill`` specifies it, written out: 10 seeded
+    samples of 80 + 4k distinct points, reference PAM on each, every medoid
+    set scored on all points by explicit norms, and the minimum of
+    (cost, sorted indices). Returns the chosen indices, sorted."""
+    n = len(vectors)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(10):
+        sample = np.sort(rng.choice(n, size=80 + 4 * k, replace=False))
+        result = reference_k_medoids(vectors[sample], k, seed=seed)
+        medoids = sorted(int(sample[i]) for i in result.medoid_indices)
+        gaps = vectors[:, None, :] - vectors[medoids][None, :, :]
+        cost = float(np.sqrt((gaps ** 2).sum(axis=2)).min(axis=1).sum())
+        if best is None or (cost, medoids) < best:
+            best = (cost, medoids)
+    return best[1]
+
+
 def surrogate_prob(model: SurrogateModel, token: int,
                    context: tuple[int, ...]) -> float:
     """P(token | last order-1 context tokens) from the raw counts, additive

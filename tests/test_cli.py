@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tagforge import cli, mockllm
+from tagforge import cli, mockllm, planted
 from tagforge.cli import dispatch
 from tagforge.gateway import AgentRole, BackendRefusalError, HttpBackend
 from tagforge.mockllm import MockLLMBackend
@@ -1061,6 +1061,33 @@ def test_console_entrypoint_help():
     for flag, spec in cli.FLAGS.items():
         assert re.search(rf"{flag} \S+ overrides config key {re.escape(spec.key)}"
                          rf"( |$)", text), flag
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--branching", "4,,4"], "--branching"),
+    (["--branching", "0"], "--branching"),
+    (["--branching", "4,-1"], "--branching"),
+    (["--branching", "16,16,15"], "--branching"),  # 4,112 nodes, 4,096 names
+    (["--items", "0"], "--items"),
+    (["--items", "many"], "--items"),
+    (["--users", "0"], "--users"),
+])
+def test_planted_rejects_bad_arguments_before_writing(tmp_path, capsys, args, flag):
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        planted.main(["--out", str(out), *args])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_planted_writes_corpus_interactions_and_world(tmp_path):
+    out = tmp_path / "data"
+    assert planted.main(["--out", str(out), "--branching", "2,3",
+                         "--items", "12", "--users", "4"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corpus.jsonl", "interactions.jsonl", "world.json"]
+    assert len(load_corpus(out / "corpus.jsonl")) == 12
 
 
 # What only the clustering stages (build-vocab, baseline-freeform) and the

@@ -12,10 +12,12 @@ from tagforge import clustering
 from tagforge.clustering import (ClusteringError, HashingProvider, distill,
                                  embed_batch, k_means, k_medoids, _bucket,
                                  _distance_matrix)
+from tagforge.corpus import Item
 from tagforge.planted import make_world
 
-from oracles import (brute_force_medoids, reference_hashing_embed,
-                     reference_k_medoids, reference_swap_descent)
+from oracles import (brute_force_medoids, reference_clara,
+                     reference_hashing_embed, reference_k_medoids,
+                     reference_swap_descent)
 
 
 def test_hashing_provider_deterministic(provider):
@@ -282,3 +284,70 @@ def test_distill_planted_groups_one_representative_each(provider):
     chosen_groups = {labels[texts.index(t)] for t in out}
     assert len(out) == 15
     assert chosen_groups == set(range(15))
+
+
+class _FixedProvider:
+    """Embeds the text ``str(i)`` as row i of a given array."""
+
+    name = "fixed"
+
+    def __init__(self, vectors: np.ndarray):
+        self.vectors = vectors
+        self.dim = vectors.shape[1]
+
+    def embed(self, texts):
+        return self.vectors[[int(t) for t in texts]]
+
+
+def _distill_indices(vectors: np.ndarray, k: int, seed: int) -> list[int]:
+    return distill(range(len(vectors)), k, _FixedProvider(vectors), seed=seed)
+
+
+def test_distill_memory_peak_is_linear_in_n():
+    # One n x n float64 matrix alone would be 128 MB; the bound is 24.6 MB.
+    n, dim = 4000, 256
+    world = make_world(branching=(4, 4, 4), n_items=n, seed=3)
+    texts = [item.prompt_text() for item in world.corpus]
+    tracemalloc.start()
+    try:
+        out = distill(texts, 15, HashingProvider(dim=dim), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 15
+    assert peak < 3 * n * dim * 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), spare=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=1, spare=0, seed=0)
+@example(k=6, spare=0, seed=1)
+def test_distill_up_to_sample_size_is_k_medoids(k, spare, seed):
+    n = max(k + 1, 80 + 4 * k - spare)
+    vectors = np.random.default_rng(seed).normal(size=(n, 3))
+    assert (_distill_indices(vectors, k, seed)
+            == k_medoids(vectors, k, seed=seed).medoid_indices)
+
+
+@pytest.mark.parametrize("n,k,seed", [(141, 15, 0), (400, 15, 4), (700, 15, 9),
+                                      (300, 4, 2), (90, 2, 5)])
+def test_distill_equals_reference_clara(n, k, seed):
+    vectors = _planted_vectors(n)
+    assert _distill_indices(vectors, k, seed) == reference_clara(vectors, k, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 8), extra=st.integers(1, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_distill_above_sample_size_equals_reference_clara(k, extra, seed):
+    vectors = np.random.default_rng(seed).normal(size=(80 + 4 * k + extra, 3))
+    assert _distill_indices(vectors, k, seed) == reference_clara(vectors, k, seed)
+
+
+def test_distill_same_seed_same_output():
+    world = make_world(branching=(4, 4), n_items=1200, seed=5)
+    provider = HashingProvider(dim=64)
+    first = distill(world.corpus, 15, provider, seed=11, text_of=Item.prompt_text)
+    again = distill(world.corpus, 15, provider, seed=11, text_of=Item.prompt_text)
+    assert [it.item_id for it in first] == [it.item_id for it in again]
